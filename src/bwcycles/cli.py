@@ -1,8 +1,11 @@
 """Command-line front end: generate, decode, verify, tree, conjecture.
 
-Generation streams symbols as they are produced (the verify and conjecture
-modes buffer, and say so via their --max-universe / sweep caps). Exit codes:
-0 success, 1 verification failure, 2 usage or parameter error, and every error
+Generation streams the engine's chunks straight to stdout, rendered and
+written a batch at a time, so memory stays O(n + batch) however long the cycle
+(the verify and conjecture modes buffer, and say so via their --max-universe /
+sweep caps). A seed window is checked before anything is written, and --stats
+reports the same counters as the library run of the same cycle. Exit codes: 0
+success, 1 verification failure, 2 usage or parameter error, and every error
 prints a single "error: ..." line on stderr.
 
 The reverse-colex engine is the one construction that cannot stream: it sorts
@@ -17,7 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 from math import comb
 from typing import Iterator, Sequence
 
@@ -27,26 +30,19 @@ from bwcycles.combmaps import (
     SCHEME_SUBSET_DIFF,
     decode_window,
     fixed_weight_expand,
-    ucycle_multisets_diff,
-    ucycle_multisets_freq,
-    ucycle_subsets,
 )
 from bwcycles.cyclejoin import FeedbackKind, build_tree
-from bwcycles.grandmama import (
-    GenStats,
-    UCycle,
-    generate_by_successor,
-    generate_concat,
-    iter_concat_prefixes,
-    successor_h1,
-)
-from bwcycles.msr import MsrState, check_conjecture, generate_msr, generate_reverse_colex, successor_h2
+from bwcycles.grandmama import GenStats, UCycle, iter_concat_prefixes, iter_successor_chunks
+from bwcycles.msr import check_conjecture, generate_reverse_colex, iter_msr_chunks
 from bwcycles.oracle import enumerate_universe, verify_listing, verify_universal_cycle
 from bwcycles.words import ParamSet
 
 __all__ = ["main"]
 
 ENGINES = ("grandmama", "msr", "reverse-colex")
+
+# symbols per render call and write: per-write costs vanish, memory stays small
+RENDER_BATCH = 1 << 16
 
 
 class CliError(Exception):
@@ -151,76 +147,67 @@ def _resolve_seed(args, cell: _Cell) -> tuple[int, ...] | None:
 # --- generate -------------------------------------------------------------
 
 
-def _successor_stream(params: ParamSet, start: tuple[int, ...], rule: str,
-                      stats: GenStats | None) -> Iterator[int]:
-    size = params.universe_size
-    n = params.n
-    if size < n:
-        for s in start[:size]:
-            if stats is not None:
-                stats.add(symbols=1)
-            yield s
-        return
-    if rule == "h1":
-        window = tuple(start)
-        for _ in range(size):
-            if stats is not None:
-                stats.add(symbols=1)
-            yield window[0]
-            window = window[1:] + (successor_h1(params, window, stats=stats),)
-    else:
-        state = MsrState.from_window(params, start)
-        for _ in range(size):
-            if stats is not None:
-                stats.add(symbols=1)
-            yield state.window[0]
-            state = state.step(successor_h2(params, state, stats=stats))
-
-
-def _symbol_stream(cell: _Cell, engine: str, seed: tuple[int, ...] | None,
-                   stats: GenStats | None) -> tuple[str, Iterator[int]]:
-    """(engine tag, iterator over engine-alphabet symbols of the full cycle)."""
+def _symbol_chunks(cell: _Cell, engine: str, seed: tuple[int, ...] | None, limit: int | None,
+                   stats: GenStats | None) -> tuple[str, Iterator[Sequence[int]]]:
+    """(engine tag, iterator over chunks of engine-alphabet symbols of the full cycle)."""
     params = cell.params
+    # a successor engine stops at the last kept symbol, so its counters match the output
+    steps = None if limit is None or limit >= params.universe_size else max(limit - params.n, 0)
     if engine == "grandmama":
         if seed is None:
-            def chunks():
-                for chunk in iter_concat_prefixes(params, stats):
-                    yield from chunk
-            return "grandmama-concat", chunks()
-        return "grandmama-successor", _successor_stream(params, seed, "h1", stats)
+            return "grandmama-concat", iter_concat_prefixes(params, stats)
+        return "grandmama-successor", iter_successor_chunks(params, seed, steps, stats)
     if engine == "msr":
-        start = seed if seed is not None else (0,) * params.n
-        return "msr", _successor_stream(params, start, "h2", stats)
-    if engine == "reverse-colex":
-        if seed is not None:
-            raise CliError("--seed-window needs a successor engine (grandmama or msr)")
-        cyc = generate_reverse_colex(params, stats)
-        return cyc.engine, iter(cyc.symbols)
-    raise CliError(f"unknown engine {engine!r}")
+        return "msr", iter_msr_chunks(params, seed, steps, stats)
+    cyc = generate_reverse_colex(params, stats)  # seeds were refused by _resolve_seed
+    return cyc.engine, iter((cyc.symbols,))
 
 
-def _emit_stream(stream: Iterator[int], fmt: str, meta: dict, out) -> int:
-    buf: list[str] = []
-    written = 0
+def _take(chunks: Iterator[Sequence[int]], limit: int) -> Iterator[Sequence[int]]:
+    """The first ``limit`` symbols of a chunk stream, still in chunks."""
+    for chunk in chunks:
+        if len(chunk) >= limit:
+            yield chunk[:limit]
+            return
+        limit -= len(chunk)
+        yield chunk
+
+
+def _emit_stream(chunks: Iterator[Sequence[int]], fmt: str, names: list[str], meta: dict,
+                 out) -> int:
+    """Write the symbols as one line, RENDER_BATCH symbols per render call and write.
+
+    ``names[s]`` is the displayed text of engine symbol s, display shift included.
+    """
+    if fmt == "compact":
+        table = bytes.maketrans(bytes(range(len(names))), "".join(names).encode())
+        sep, tail = "", "\n"
+
+        def render(batch):
+            return bytes(batch).translate(table).decode()
+    else:
+        sep, tail = (" ", "\n") if fmt == "delimited" else (", ", "]}\n")
+
+        def render(batch):
+            return sep.join(map(names.__getitem__, batch))
     if fmt == "json":
         head = ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in meta.items())
         out.write("{" + head + ', "symbols": [')
-        for i, s in enumerate(stream):
-            buf.append(("" if i == 0 else ", ") + str(s))
-            written += 1
-            if len(buf) >= 4096:
-                out.write("".join(buf))
-                buf.clear()
-        out.write("".join(buf) + "]}\n")
-        return written
-    sep = "" if fmt == "compact" else " "
-    for i, s in enumerate(stream):
-        buf.append((sep if i else "") + str(s))
-        written += 1
-        if len(buf) >= 4096:
-            out.write("".join(buf))
-            buf.clear()
-    out.write("".join(buf) + "\n")
+    written = 0
+    lead = ""
+    batch: list[int] = []
+    extend = batch.extend
+    for chunk in chunks:
+        extend(chunk)
+        if len(batch) >= RENDER_BATCH:
+            out.write(lead + render(batch))
+            written += len(batch)
+            batch.clear()
+            lead = sep
+    if batch:
+        out.write(lead + render(batch))
+        written += len(batch)
+    out.write(tail)
     return written
 
 
@@ -234,12 +221,10 @@ def cmd_generate(args) -> int:
         raise CliError(f"compact format needs all symbols < 10, but they reach {top}")
 
     stats = GenStats() if args.stats else None
-    tag, stream = _symbol_stream(cell, args.engine, seed, stats)
-    if cell.shift:
-        stream = (s + cell.shift for s in stream)
+    tag, chunks = _symbol_chunks(cell, args.engine, seed, args.limit, stats)
     emit_len = cell.length if args.limit is None else min(cell.length, args.limit)
     if args.limit is not None:
-        stream = islice(stream, args.limit)
+        chunks = _take(chunks, args.limit)
 
     meta = {
         "engine": tag,
@@ -250,7 +235,8 @@ def cmd_generate(args) -> int:
         "w": cell.params.w_eff,
         "length": emit_len,
     }
-    written = _emit_stream(stream, args.format, meta, sys.stdout)
+    names = [str(s + cell.shift) for s in range(cell.params.t)]
+    written = _emit_stream(chunks, args.format, names, meta, sys.stdout)
     if stats is not None:
         # count what actually went out: the concat engine flushes its own
         # symbol tally only on completion, so it lags when --limit cuts in.
@@ -266,27 +252,11 @@ def cmd_generate(args) -> int:
 
 
 def _build_cycle(cell: _Cell, engine: str, seed: tuple[int, ...] | None) -> UCycle:
-    if cell.kind != "words" and seed is None:
-        maker = {
-            "subsets": ucycle_subsets,
-            "multisets-freq": ucycle_multisets_freq,
-            "multisets-diff": ucycle_multisets_diff,
-        }[cell.kind]
-        return maker(cell.nk[0], cell.nk[1], engine)
-    params = cell.params
-    if engine == "reverse-colex":
-        if seed is not None:
-            raise CliError("--seed-window needs a successor engine (grandmama or msr)")
-        base = generate_reverse_colex(params)
-    elif seed is not None:
-        base = (generate_by_successor(params, start=seed) if engine == "grandmama"
-                else generate_msr(params, start=seed))
-    else:
-        base = generate_concat(params) if engine == "grandmama" else generate_msr(params)
-    if cell.scheme is None:
-        return base
-    return UCycle(tuple(s + cell.shift for s in base.symbols), params, base.engine,
-                  scheme=cell.scheme, scheme_params=cell.nk)
+    tag, chunks = _symbol_chunks(cell, engine, seed, None, None)
+    symbols = chain.from_iterable(chunks)
+    if cell.shift:
+        symbols = (s + cell.shift for s in symbols)
+    return UCycle(tuple(symbols), cell.params, tag, scheme=cell.scheme, scheme_params=cell.nk)
 
 
 def cmd_decode(args) -> int:

@@ -14,6 +14,7 @@ symbol comparisons), which is how the constant-amortized-work claim is checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 from bwcycles.words import ParamSet, Word, _symbols
@@ -24,8 +25,12 @@ __all__ = [
     "iter_concat_prefixes",
     "generate_concat",
     "successor_h1",
+    "iter_successor_chunks",
     "generate_by_successor",
 ]
+
+# symbols per successor chunk: per-chunk costs vanish, memory stays small
+SUCCESSOR_CHUNK = 4096
 
 
 @dataclass
@@ -246,10 +251,13 @@ def successor_h1(
     spends at most one necklace test. ``exhaustive=True`` scans candidates from
     the top instead; both paths agree everywhere and the tests assert it.
     """
-    t, n, w = params.t, params.n, params.w_eff
     syms = _validate_window(params, window)
+    return _h1_core(params.t, params.n, params.w_eff, syms, sum(syms), exhaustive, stats)
+
+
+def _h1_core(t, n, w, syms, weight, exhaustive, stats):
     a1 = syms[0]
-    tail_weight = sum(syms) - a1
+    tail_weight = weight - a1
 
     j0 = n - 1
     while j0 >= 1 and syms[j0] == 0:
@@ -300,6 +308,54 @@ def successor_h1(
     return a1 + 1
 
 
+def iter_successor_chunks(
+    params: ParamSet,
+    start: "Word | Sequence[int] | None" = None,
+    steps: int | None = None,
+    stats: GenStats | None = None,
+    core: Callable = _h1_core,
+) -> Iterator[list[int]]:
+    """Stream the cycle a successor rule draws from ``start``, as lists of symbols.
+
+    ``start`` (default all zeros) is validated before the iterator is returned;
+    then ``core`` (a rule without validation, h1 by default) runs on a window
+    and weight carried as locals. The first chunk is the start window. One full
+    period takes |Sigma_t(n,w)| - n rule calls, unless ``steps`` sets the count.
+    """
+    n = params.n
+    syms = _validate_window(params, (0,) * n if start is None else start)
+    if steps is None:
+        size = params.universe_size
+        if size < n:
+            # single-word universes: the cycle is shorter than the window
+            syms, steps = syms[:size], 0
+        else:
+            steps = size - n
+    return _successor_chunks(params, syms, steps, stats, core)
+
+
+def _successor_chunks(params, win, steps, stats, core):
+    t, n, w = params.t, params.n, params.w_eff
+    weight = sum(win)
+    if stats is not None:
+        stats.add(symbols=len(win))
+    yield list(win)
+    while steps > 0:
+        k = min(steps, SUCCESSOR_CHUNK)
+        steps -= k
+        chunk = []
+        for _ in range(k):
+            s = core(t, n, w, win, weight, False, stats)
+            chunk.append(s)
+            weight += s - win[0]
+            win = win[1:] + (s,)
+        if weight != sum(win):
+            raise AssertionError(f"carried weight drifted: {weight} != {sum(win)}")
+        if stats is not None:
+            stats.add(symbols=k)
+        yield chunk
+
+
 def generate_by_successor(
     params: ParamSet,
     start: "Word | Sequence[int] | None" = None,
@@ -313,25 +369,5 @@ def generate_by_successor(
     engine's output; from any other valid window it is the same cyclic sequence
     rotated. ``steps`` overrides the number of successor applications.
     """
-    t, n = params.t, params.n
-    if start is None:
-        start = (0,) * n
-    syms = _validate_window(params, start)
-    size = params.universe_size
-    if steps is None:
-        if size < n:
-            # single-word universes: the cycle is shorter than the window
-            out = syms[:size]
-            if stats is not None:
-                stats.add(symbols=len(out))
-            return UCycle(out, params, "grandmama-successor")
-        steps = size - n
-    out = list(syms)
-    win = syms
-    for _ in range(steps):
-        s = successor_h1(params, win, stats=stats)
-        out.append(s)
-        win = win[1:] + (s,)
-    if stats is not None:
-        stats.add(symbols=len(out))
-    return UCycle(tuple(out), params, "grandmama-successor")
+    chunks = iter_successor_chunks(params, start, steps, stats)
+    return UCycle(tuple(chain.from_iterable(chunks)), params, "grandmama-successor")

@@ -17,14 +17,17 @@ is an observation, not a contract: nothing in this package relies on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
-from bwcycles.grandmama import GenStats, UCycle, _period_count, _validate_window
+from bwcycles.grandmama import (GenStats, UCycle, _period_count, _validate_window,
+                                iter_successor_chunks)
 from bwcycles.words import ParamSet, Word, _symbols, words_iter
 
 __all__ = [
     "MsrState",
     "successor_h2",
+    "iter_msr_chunks",
     "generate_msr",
     "generate_reverse_colex",
     "ConjectureReport",
@@ -68,8 +71,9 @@ class MsrState:
         return MsrState(self.params, window, z)
 
 
-def _h2_core(t, n, w, syms, z, exhaustive, stats):
+def _h2_core(t, n, w, syms, weight, exhaustive, stats):
     a1 = syms[0]
+    z = w - weight
     j0 = n - 1
     while j0 >= 1 and syms[j0] == 0:
         j0 -= 1
@@ -146,9 +150,20 @@ def successor_h2(
     """
     t, n, w = _require_small_weight(params)
     if isinstance(window, MsrState):
-        return _h2_core(t, n, w, window.window, window.z, exhaustive, stats)
+        return _h2_core(t, n, w, window.window, w - window.z, exhaustive, stats)
     syms = _validate_window(params, window)
-    return _h2_core(t, n, w, syms, w - sum(syms), exhaustive, stats)
+    return _h2_core(t, n, w, syms, sum(syms), exhaustive, stats)
+
+
+def iter_msr_chunks(
+    params: ParamSet,
+    start: "Word | Sequence[int] | None" = None,
+    steps: int | None = None,
+    stats: GenStats | None = None,
+) -> Iterator[list[int]]:
+    """``iter_successor_chunks`` driven by the missing-symbol rule h2 (needs w < t)."""
+    _require_small_weight(params)
+    return iter_successor_chunks(params, start, steps, stats, _h2_core)
 
 
 def generate_msr(
@@ -160,35 +175,12 @@ def generate_msr(
 ) -> UCycle:
     """Iterate the missing-symbol successor for one full period (or ``steps``).
 
-    With ``debug=True`` the carried z is re-derived from scratch at every
-    power-of-two step and any drift raises, which pins down bookkeeping bugs
-    without slowing the common path measurably.
+    The materialised form of ``iter_msr_chunks``. ``debug`` has no further
+    effect: every run re-derives the carried weight, and so z, from scratch at
+    each chunk boundary and raises on any drift.
     """
-    t, n, w = _require_small_weight(params)
-    if start is None:
-        start = (0,) * n
-    syms = _validate_window(params, start)
-    size = params.universe_size
-    if steps is None:
-        if size < n:
-            out = syms[:size]
-            if stats is not None:
-                stats.add(symbols=len(out))
-            return UCycle(out, params, "msr")
-        steps = size - n
-    out = list(syms)
-    win = syms
-    z = w - sum(syms)
-    for k in range(steps):
-        s = _h2_core(t, n, w, win, z, False, stats)
-        out.append(s)
-        z += win[0] - s
-        win = win[1:] + (s,)
-        if debug and (k & (k - 1)) == 0 and z != w - sum(win):
-            raise AssertionError(f"carried z drifted at step {k}: {z} != {w - sum(win)}")
-    if stats is not None:
-        stats.add(symbols=len(out))
-    return UCycle(tuple(out), params, "msr")
+    chunks = iter_msr_chunks(params, start, steps, stats)
+    return UCycle(tuple(chain.from_iterable(chunks)), params, "msr")
 
 
 def generate_reverse_colex(params: ParamSet, stats: GenStats | None = None) -> UCycle:

@@ -1,6 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from itertools import chain, islice
+from pathlib import Path
 
+from bwcycles import cli, grandmama
 from bwcycles.cli import main
+from bwcycles.combmaps import ucycle_multisets_diff, ucycle_multisets_freq, ucycle_subsets
+from bwcycles.grandmama import (
+    GenStats,
+    UCycle,
+    generate_by_successor,
+    generate_concat,
+    iter_concat_prefixes,
+)
+from bwcycles.msr import generate_msr, generate_reverse_colex
+from bwcycles.words import ParamSet
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FORMATS = ("compact", "delimited", "json")
 
 
 def run(capsys, *args):
@@ -93,10 +112,18 @@ def test_generate_usage_errors(capsys):
         ("generate", "--engine", "msr", "--t", "3", "--n", "2", "--w", "4"),  # w_eff >= t
         ("generate",),
     ]
+    # successor engines check the seed once, before anything is written; json
+    # output would show a header written ahead of the check
+    for engine in ("grandmama", "msr"):
+        for fmt in ("compact", "json"):
+            for seed in ("0,0,9", "3,3,0"):  # a symbol outside 0..4; weight 6 > 4
+                cases.append(("generate", "--engine", engine, "--t", "5", "--n", "3", "--w", "4",
+                              "--seed-window", seed, "--format", fmt))
     for case in cases:
         code, out, err = run(capsys, *case)
         assert code == 2, case
         assert err.startswith("error:") and err.count("\n") == 1, case
+        assert out == "", case
 
 
 def test_unknown_flag_and_help(capsys):
@@ -193,3 +220,108 @@ def test_generate_stats_on_stderr(capsys):
                          "--format", "compact", "--stats", "--limit", "5")
     assert code == 0 and out.strip() == "00010"
     assert err.startswith("stats: symbols=5 ")
+
+    # a full successor run counts exactly what the library does for the same cycle
+    p = ParamSet(5, 3, 4)
+    for flags, build in [
+        (("--engine", "msr"), lambda stats: generate_msr(p, stats=stats)),
+        (("--seed-window", "0,0,4"),
+         lambda stats: generate_by_successor(p, start=(0, 0, 4), stats=stats)),
+        (("--seed-window", "0,0,4", "--limit", "10"),
+         lambda stats: generate_by_successor(p, start=(0, 0, 4), steps=10 - p.n, stats=stats)),
+    ]:
+        stats = GenStats()
+        cycle = build(stats)
+        code, out, err = run(capsys, "generate", "--t", "5", "--n", "3", "--w", "4",
+                             "--format", "compact", "--stats", *flags)
+        assert code == 0 and out.strip() == str(cycle), flags
+        assert err == (f"stats: symbols={len(cycle)} necklace_tests={stats.necklace_tests}"
+                       f" comparisons={stats.comparisons}\n"), flags
+
+
+def _naive_render(cycle: UCycle, fmt: str, limit: int | None) -> str:
+    """The expected output of ``generate``, rendered one symbol at a time."""
+    shown = list(cycle.symbols[:limit])
+    if fmt == "json":
+        scheme = None if cycle.scheme is None else {
+            "name": cycle.scheme, "n": cycle.scheme_params[0], "k": cycle.scheme_params[1]}
+        return json.dumps({"engine": cycle.engine, "scheme": scheme, "t": cycle.t, "n": cycle.n,
+                           "w": cycle.w, "length": len(shown), "symbols": shown}) + "\n"
+    return ("" if fmt == "compact" else " ").join(str(s) for s in shown) + "\n"
+
+
+def _seeded(cycle: UCycle, position: int, shift: int) -> tuple[str, UCycle]:
+    """(--seed-window text, library h1 cycle) for the window of ``cycle`` at ``position``."""
+    seed = cycle.window(position)
+    base = generate_by_successor(cycle.params, start=[s - shift for s in seed])
+    return ",".join(map(str, seed)), UCycle(tuple(s + shift for s in base.symbols), cycle.params,
+                                            base.engine, cycle.scheme, cycle.scheme_params)
+
+
+def _words(engine):
+    maker = {"grandmama": generate_concat, "msr": generate_msr,
+             "reverse-colex": generate_reverse_colex}[engine]
+    return maker(ParamSet(5, 4, 4))
+
+
+RENDER_KINDS = [  # (cell flags, library cycle for an engine, display shift)
+    (("--t", "5", "--n", "4", "--w", "4"), _words, 0),
+    (("--subsets", "8", "4"), lambda engine: ucycle_subsets(8, 4, engine), 1),
+    (("--multisets-freq", "4", "4"), lambda engine: ucycle_multisets_freq(4, 4, engine), 0),
+    (("--multisets-diff", "4", "4"), lambda engine: ucycle_multisets_diff(4, 4, engine), 0),
+]
+
+
+def test_generate_matches_naive_rendering(capsys, monkeypatch):
+    # small batches and chunks, so cells of 35-70 symbols cross several of each
+    batch = 16
+    monkeypatch.setattr(cli, "RENDER_BATCH", batch)
+    monkeypatch.setattr(grandmama, "SUCCESSOR_CHUNK", 5)
+    for flags, make, shift in RENDER_KINDS:
+        concat = make("grandmama")
+        seed, seeded = _seeded(concat, 3, shift)
+        n, length = concat.n, len(concat)
+        engines = [(("grandmama",), concat), (("grandmama", "--seed-window", seed), seeded),
+                   (("msr",), make("msr")), (("reverse-colex",), make("reverse-colex"))]
+        for engine, cycle in engines:
+            assert len(cycle) == length > 2 * batch
+            for fmt in FORMATS:
+                for limit in (None, 0, 1, n, batch - 1, batch, batch + 1, length, length + 5):
+                    args = ["generate", *flags, "--engine", *engine, "--format", fmt]
+                    if limit is not None:
+                        args += ["--limit", str(limit)]
+                    code, out, err = run(capsys, *args)
+                    assert code == 0 and err == "", args
+                    assert out == _naive_render(cycle, fmt, limit), args
+
+
+def test_generate_matches_naive_rendering_past_two_batches(capsys):
+    p = ParamSet(4, 9, 14)
+    concat = generate_concat(p)
+    assert len(concat) > 2 * cli.RENDER_BATCH
+    flags = ("generate", "--t", "4", "--n", "9", "--w", "14")
+    for fmt in FORMATS:
+        code, out, _ = run(capsys, *flags, "--format", fmt)
+        assert code == 0 and out == _naive_render(concat, fmt, None), fmt
+    seed, seeded = _seeded(concat, 5, 0)
+    limit = cli.RENDER_BATCH + 1
+    code, out, _ = run(capsys, *flags, "--seed-window", seed, "--limit", str(limit))
+    assert code == 0 and out == _naive_render(seeded, "delimited", limit)
+
+
+def test_generate_into_closed_pipe_exits_quietly():
+    """A reader that stops early (``| head -c 20``) is not an error."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    gen = subprocess.Popen(
+        [sys.executable, "-m", "bwcycles", "generate", "--t", "4", "--n", "12", "--w", "19",
+         "--format", "compact"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = subprocess.run(["head", "-c", "20"], stdin=gen.stdout, capture_output=True, timeout=60)
+    gen.stdout.close()
+    err = gen.stderr.read()
+    gen.stderr.close()
+    assert gen.wait(timeout=60) == 0
+    assert err == b""
+    prefix = islice(chain.from_iterable(iter_concat_prefixes(ParamSet(4, 12, 19))), 20)
+    assert head.stdout == "".join(map(str, prefix)).encode()
