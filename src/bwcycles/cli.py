@@ -285,6 +285,9 @@ def cmd_verify(args) -> int:
     if against not in _AGAINST_FOR_KIND[cell.kind]:
         raise CliError(f"--against {against} does not fit the {cell.kind} parameters")
 
+    # these universes have cell.length elements, so refuse before generating or enumerating
+    if against != "fixed-weight" and cell.length > args.max_universe:
+        raise CliError(f"universe has {cell.length} elements, above the cap {args.max_universe}")
     if args.sequence is not None:
         symbols = _parse_symbols(args.sequence)
         cycle = UCycle(symbols, cell.params, "user", scheme=cell.scheme, scheme_params=cell.nk)

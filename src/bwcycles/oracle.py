@@ -2,15 +2,16 @@
 
 This module is the independent referee for every generator in the package. It
 never calls the fast constructions or the codec layer; universes are enumerated
-from first principles (itertools scans) and coverage is checked by literally
-sliding a window around the cycle and counting. Keep it dumb.
+from first principles (weight-pruned prefix extension, itertools combinations)
+and coverage is checked by slicing every window out of the cyclically extended
+cycle and counting. Keep it dumb.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
 __all__ = ["VerifyReport", "verify_universal_cycle", "verify_listing", "enumerate_universe"]
@@ -59,85 +60,15 @@ def _cycle_fields(cycle, window_len):
     return symbols, window_len
 
 
-def verify_universal_cycle(
-    cycle,
-    universe: Iterable[Sequence[int]],
-    *,
-    window_len: int | None = None,
-    max_universe: int = 10**6,
-    full_details: bool = False,
-) -> VerifyReport:
-    """Check that every universe element appears exactly once as a cyclic window.
-
-    ``cycle`` may be a plain int sequence (pass ``window_len``) or any object with
-    ``symbols`` and ``n`` attributes. The cycle is read cyclically, so a cycle
-    shorter than the window is legal (the window wraps several times); that is
-    how the single-word degenerate universes come out.
-
-    Detail lists (missing / duplicated / unexpected) are truncated to 20 entries
-    unless ``full_details`` is set; ``truncated`` reports whether anything was cut.
-    Universes larger than ``max_universe`` are refused.
-    """
-    symbols, n = _cycle_fields(cycle, window_len)
-    expected = set(tuple(w) for w in universe)
-    if len(expected) > max_universe:
-        raise ValueError(f"universe has {len(expected)} elements, above the cap {max_universe}")
-    length = len(symbols)
-    if length == 0:
-        raise ValueError("cannot verify an empty cycle")
-
-    seen = Counter(
-        tuple(symbols[(i + d) % length] for d in range(n)) for i in range(length)
-    )
-    missing = sorted(expected - seen.keys())
+def _report(seen: Counter, expected: set, window_len: int, total: int,
+            full_details: bool) -> VerifyReport:
+    # one lookup per distinct word; the universe is scanned only if words are missing
+    unexpected = sorted(w for w in seen if w not in expected)
+    if len(seen) - len(unexpected) == len(expected):
+        missing = []
+    else:
+        missing = sorted(expected.difference(seen))
     duplicated = sorted((w, c) for w, c in seen.items() if c > 1)
-    unexpected = sorted(seen.keys() - expected)
-    ok = not missing and not duplicated and not unexpected and length == len(expected)
-
-    truncated = False
-    if not full_details:
-        if len(missing) > DETAIL_LIMIT or len(duplicated) > DETAIL_LIMIT or len(unexpected) > DETAIL_LIMIT:
-            truncated = True
-        missing = missing[:DETAIL_LIMIT]
-        duplicated = duplicated[:DETAIL_LIMIT]
-        unexpected = unexpected[:DETAIL_LIMIT]
-
-    return VerifyReport(
-        ok=ok,
-        window_len=n,
-        cycle_len=length,
-        expected_count=len(expected),
-        window_count=length,
-        missing=missing,
-        duplicated=duplicated,
-        unexpected=unexpected,
-        truncated=truncated,
-    )
-
-
-def verify_listing(
-    words: Iterable[Sequence[int]],
-    universe: Iterable[Sequence[int]],
-    *,
-    max_universe: int = 10**6,
-    full_details: bool = False,
-) -> VerifyReport:
-    """Check that a flat listing of words covers a universe exactly once.
-
-    Same report shape as the window check, but nothing slides: ``words`` is
-    taken as-is (the fixed-weight expansion of a cycle, for instance) and
-    compared against the universe as a multiset.
-    """
-    expected = set(tuple(w) for w in universe)
-    if len(expected) > max_universe:
-        raise ValueError(f"universe has {len(expected)} elements, above the cap {max_universe}")
-    seen = Counter(tuple(w) for w in words)
-    total = sum(seen.values())
-    window_len = len(next(iter(seen), next(iter(expected), ())))
-
-    missing = sorted(expected - seen.keys())
-    duplicated = sorted((w, c) for w, c in seen.items() if c > 1)
-    unexpected = sorted(seen.keys() - expected)
     ok = not missing and not duplicated and not unexpected and total == len(expected)
 
     truncated = False
@@ -161,6 +92,70 @@ def verify_listing(
     )
 
 
+def verify_universal_cycle(
+    cycle,
+    universe: Iterable[Sequence[int]],
+    *,
+    window_len: int | None = None,
+    max_universe: int = 10**6,
+    full_details: bool = False,
+) -> VerifyReport:
+    """Check that every universe element appears exactly once as a cyclic window.
+
+    ``cycle`` may be a plain int sequence (pass ``window_len``) or any object with
+    ``symbols`` and ``n`` attributes. The cycle is read cyclically, so a cycle
+    shorter than the window is legal (the window wraps several times); that is
+    how the single-word degenerate universes come out.
+
+    Detail lists (missing / duplicated / unexpected) are truncated to 20 entries
+    unless ``full_details`` is set; ``truncated`` reports whether anything was cut.
+    Universes larger than ``max_universe`` are refused.
+    """
+    symbols, n = _cycle_fields(cycle, window_len)
+    expected = set(map(tuple, universe))
+    if len(expected) > max_universe:
+        raise ValueError(f"universe has {len(expected)} elements, above the cap {max_universe}")
+    length = len(symbols)
+    if length == 0:
+        raise ValueError("cannot verify an empty cycle")
+
+    # repeat the cycle until the window starting at every index fits without wrapping
+    ring = symbols * -(-(length + n - 1) // length)
+    seen = Counter(map(ring.__getitem__, map(slice, range(length), range(n, length + n))))
+    return _report(seen, expected, n, length, full_details)
+
+
+def verify_listing(
+    words: Iterable[Sequence[int]],
+    universe: Iterable[Sequence[int]],
+    *,
+    max_universe: int = 10**6,
+    full_details: bool = False,
+) -> VerifyReport:
+    """Check that a flat listing of words covers a universe exactly once.
+
+    Same report shape as the window check, but nothing slides: ``words`` is
+    taken as-is (the fixed-weight expansion of a cycle, for instance) and
+    compared against the universe as a multiset.
+    """
+    expected = set(map(tuple, universe))
+    if len(expected) > max_universe:
+        raise ValueError(f"universe has {len(expected)} elements, above the cap {max_universe}")
+    seen = Counter(map(tuple, words))
+    window_len = len(next(iter(seen), next(iter(expected), ())))
+    return _report(seen, expected, window_len, sum(seen.values()), full_details)
+
+
+def _weight_bounded(t: int, n: int, w: int) -> list[tuple[int, ...]]:
+    """Length-n words over {0..t-1} of weight <= w in lexicographic order, never
+    extending a prefix past the bound."""
+    heads = [[(a,) for a in range(k)] for k in range(t + 1)]  # heads[k]: the k smallest 1-tuples
+    level = [()] if w >= 0 else []
+    for _ in range(n):
+        level = [p + a for p in level for a in heads[min(t, w - sum(p) + 1)]]
+    return level
+
+
 def enumerate_universe(kind: str, **params) -> list[tuple[int, ...]]:
     """Enumerate an expected window universe from first principles.
 
@@ -176,11 +171,10 @@ def enumerate_universe(kind: str, **params) -> list[tuple[int, ...]]:
       d1 = m1 - 1, di = mi - m(i-1), an alphabet of {0..n-1}.
     """
     if kind == "bounded_words":
-        t, n, w = params["t"], params["n"], params["w"]
-        return [word for word in product(range(t), repeat=n) if sum(word) <= w]
+        return _weight_bounded(params["t"], params["n"], params["w"])
     if kind == "fixed_weight_words":
         t, length, target = params["t"], params["length"], params["weight"]
-        return [word for word in product(range(t), repeat=length) if sum(word) == target]
+        return [word for word in _weight_bounded(t, length, target) if sum(word) == target]
     if kind == "subset_diff":
         n, k = params["n"], params["k"]
         out = []

@@ -178,6 +178,33 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "cap" in err
 
 
+def test_verify_sparse_cell_enumerates_only_its_universe(capsys):
+    # 165 words of weight <= 3 among 10^8 words of length 8
+    code, out, _ = run(capsys, "verify", "--engine", "msr", "--t", "10", "--n", "8", "--w", "3")
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True and report["window_count"] == 165
+
+
+def test_verify_cap_refused_before_any_work(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran past the cap")
+
+    monkeypatch.setattr(cli, "_build_cycle", must_not_run)
+    monkeypatch.setattr(cli, "enumerate_universe", must_not_run)
+    for argv, size in [(["--t", "4", "--n", "11", "--w", "16"], 2097152),
+                       (["--subsets", "20", "10"], 184756),
+                       (["--multisets-freq", "12", "9"], 167960),
+                       (["--multisets-diff", "12", "9", "--engine", "msr"], 167960),
+                       (["--t", "4", "--n", "3", "--w", "3", "--sequence", "0123"], 20)]:
+        code, out, err = run(capsys, "verify", *argv, "--max-universe", "19")
+        assert (code, out, err) == (2, "", f"error: universe has {size} elements, above the cap 19\n")
+    monkeypatch.undo()
+    # the fixed-weight universe is not the cell's, so the oracle still checks that cap
+    code, out, err = run(capsys, "verify", "--t", "4", "--n", "3", "--w", "3",
+                         "--against", "fixed-weight", "--max-universe", "19")
+    assert (code, out, err) == (2, "", "error: universe has 20 elements, above the cap 19\n")
+
+
 def test_tree_outputs(capsys):
     code, out, _ = run(capsys, "tree", "--kind", "pcr", "--t", "5", "--n", "3", "--w", "4")
     assert code == 0 and out.startswith("digraph") and out.count("->") == 12

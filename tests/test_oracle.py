@@ -1,11 +1,16 @@
 import json
 import math
+from collections import Counter
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwcycles.oracle import VerifyReport, enumerate_universe, verify_universal_cycle
+from bwcycles.grandmama import UCycle, generate_concat
+from bwcycles.msr import generate_msr
+from bwcycles.oracle import VerifyReport, enumerate_universe, verify_listing, verify_universal_cycle
+from bwcycles.words import ParamSet
 
 
 def test_verify_good_cycle():
@@ -119,3 +124,130 @@ def test_shuffled_cycle_fails_unless_rotation(t, n, w, rng):
     corrupted = list(rotated)
     corrupted[0] ^= 1
     assert not verify_universal_cycle(corrupted, universe, window_len=2).ok
+
+
+# --- the rewritten oracle against the tuple-per-index implementation it replaced ---
+
+
+def _reference_report(seen, expected, window_len, total, full_details):
+    missing = sorted(expected - seen.keys())
+    duplicated = sorted((w, c) for w, c in seen.items() if c > 1)
+    unexpected = sorted(seen.keys() - expected)
+    ok = not missing and not duplicated and not unexpected and total == len(expected)
+    truncated = False
+    if not full_details:
+        limit = 20
+        truncated = len(missing) > limit or len(duplicated) > limit or len(unexpected) > limit
+        missing, duplicated, unexpected = missing[:limit], duplicated[:limit], unexpected[:limit]
+    return VerifyReport(ok, window_len, total, len(expected), total, missing, duplicated,
+                        unexpected, truncated)
+
+
+def _reference_verify(symbols, universe, n, max_universe, full_details):
+    expected = set(tuple(w) for w in universe)
+    if len(expected) > max_universe:
+        raise ValueError(f"universe has {len(expected)} elements, above the cap {max_universe}")
+    length = len(symbols)
+    if length == 0:
+        raise ValueError("cannot verify an empty cycle")
+    seen = Counter(tuple(symbols[(i + d) % length] for d in range(n)) for i in range(length))
+    return _reference_report(seen, expected, n, length, full_details)
+
+
+def _reference_listing(words, universe, max_universe, full_details):
+    expected = set(tuple(w) for w in universe)
+    if len(expected) > max_universe:
+        raise ValueError(f"universe has {len(expected)} elements, above the cap {max_universe}")
+    seen = Counter(tuple(w) for w in words)
+    window_len = len(next(iter(seen), next(iter(expected), ())))
+    return _reference_report(seen, expected, window_len, sum(seen.values()), full_details)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).to_dict()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+CAPS = st.sampled_from([0, 1, 30, 10**6])  # max_universe: refused, tiny, small, default
+
+
+def _product_universe(t, n, w):
+    return [word for word in product(range(t), repeat=n) if sum(word) <= w]
+
+
+@st.composite
+def _cycle_case(draw):
+    """A cell, a universe that may be the wrong one, and a cycle to check against it.
+
+    Cycles are random words (symbols may lie outside the alphabet, and may be
+    shorter than the window) or engine cycles with a few symbols overwritten.
+    """
+    t, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    w = draw(st.integers(0, n * (t - 1)))
+    universe = _product_universe(t, n, w)
+    if draw(st.booleans()):
+        universe = draw(st.lists(st.sampled_from(universe), max_size=len(universe)))
+    if draw(st.booleans()):
+        symbols = draw(st.lists(st.integers(0, t), min_size=1, max_size=3 * n + 40))
+    else:
+        symbols = list(generate_concat(ParamSet(t, n, w)).symbols)
+        for _ in range(draw(st.integers(0, 3))):
+            symbols[draw(st.integers(0, len(symbols) - 1))] = draw(st.integers(0, t))
+    return symbols, universe, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cycle_case(), st.booleans(), CAPS)
+def test_verify_matches_reference(case, full_details, max_universe):
+    symbols, universe, n = case
+    new = _outcome(verify_universal_cycle, symbols, universe, window_len=n,
+                   max_universe=max_universe, full_details=full_details)
+    assert new == _outcome(_reference_verify, symbols, universe, n, max_universe, full_details)
+    cycle = UCycle(tuple(symbols), ParamSet(1, n, 0), "test")  # the window length comes from n
+    assert _outcome(verify_universal_cycle, cycle, universe, max_universe=max_universe,
+                    full_details=full_details) == new
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.data(), st.booleans(), CAPS)
+def test_verify_listing_matches_reference(t, n, data, full_details, max_universe):
+    word = st.tuples(*[st.integers(0, t) for _ in range(n)])
+    words = data.draw(st.lists(word, max_size=50))
+    universe = data.draw(st.lists(word, max_size=50))
+    new = _outcome(verify_listing, words, universe, max_universe=max_universe,
+                   full_details=full_details)
+    assert new == _outcome(_reference_listing, words, universe, max_universe, full_details)
+
+
+def test_verify_short_cycles_wrap_like_reference():
+    for symbols, n in [([0], 5), ([0, 1], 5), ([1, 0, 2], 7), ([2], 1), ([0, 1], 0)]:
+        universe = _product_universe(3, n, 2 * n)
+        for full in (False, True):
+            assert (verify_universal_cycle(symbols, universe, window_len=n, full_details=full)
+                    .to_dict() == _reference_verify(symbols, universe, n, 10**6, full).to_dict())
+
+
+def test_weight_pruned_enumeration_matches_product_scan():
+    for t in range(1, 6):
+        for n in range(0, 7):
+            words = list(product(range(t), repeat=n))
+            for w in range(-1, n * (t - 1) + 2):
+                assert enumerate_universe("bounded_words", t=t, n=n, w=w) == [
+                    x for x in words if sum(x) <= w], (t, n, w)
+                assert enumerate_universe("fixed_weight_words", t=t, length=n, weight=w) == [
+                    x for x in words if sum(x) == w], (t, n, w)
+
+
+@pytest.mark.slow
+def test_engine_cycles_verify_on_a_wide_grid():
+    for t in range(1, 9):
+        for n in range(1, 6):
+            for w in range(0, n * (t - 1) + 1):
+                p = ParamSet(t, n, w)
+                universe = enumerate_universe("bounded_words", t=t, n=n, w=w)
+                cycles = [generate_concat(p)] + ([generate_msr(p)] if w < t else [])
+                for cycle in cycles:
+                    report = verify_universal_cycle(cycle, universe)
+                    assert report.ok and report.window_count == len(universe), (t, n, w)
