@@ -35,7 +35,7 @@ from bwcycles.cyclejoin import FeedbackKind, build_tree
 from bwcycles.grandmama import GenStats, UCycle, iter_concat_prefixes, iter_successor_chunks
 from bwcycles.msr import check_conjecture, generate_reverse_colex, iter_msr_chunks
 from bwcycles.oracle import enumerate_universe, verify_listing, verify_universal_cycle
-from bwcycles.words import ParamSet
+from bwcycles.words import ParamSet, count_bounded_words
 
 __all__ = ["main"]
 
@@ -285,16 +285,23 @@ def cmd_verify(args) -> int:
     if against not in _AGAINST_FOR_KIND[cell.kind]:
         raise CliError(f"--against {against} does not fit the {cell.kind} parameters")
 
-    # these universes have cell.length elements, so refuse before generating or enumerating
-    if against != "fixed-weight" and cell.length > args.max_universe:
-        raise CliError(f"universe has {cell.length} elements, above the cap {args.max_universe}")
+    # every check the flags decide is made before a cycle is built or a universe enumerated
+    p = cell.params
+    size = cell.length
+    if against == "fixed-weight":
+        if p.w_eff > p.t:
+            raise CliError(f"fixed-weight expansion needs w <= t, got w={p.w_eff} t={p.t}")
+        # the universe is the length-(n+1) words of weight exactly w
+        size = (count_bounded_words(p.t, p.n + 1, p.w_eff)
+                - (count_bounded_words(p.t, p.n + 1, p.w_eff - 1) if p.w_eff else 0))
+    if size > args.max_universe:
+        raise CliError(f"universe has {size} elements, above the cap {args.max_universe}")
     if args.sequence is not None:
         symbols = _parse_symbols(args.sequence)
         cycle = UCycle(symbols, cell.params, "user", scheme=cell.scheme, scheme_params=cell.nk)
     else:
         cycle = _build_cycle(cell, args.engine, _resolve_seed(args, cell))
 
-    p = cell.params
     if against == "words":
         universe = enumerate_universe("bounded_words", t=p.t, n=p.n, w=p.w_eff)
         report = verify_universal_cycle(cycle, universe, max_universe=args.max_universe)

@@ -26,7 +26,6 @@ from bwcycles.words import ParamSet, Word, _symbols
 
 __all__ = [
     "CombObject",
-    "Representation",
     "SCHEME_SUBSET_DIFF",
     "SCHEME_MULTISET_FREQ",
     "SCHEME_MULTISET_DIFF",
@@ -46,8 +45,6 @@ __all__ = [
 SCHEME_SUBSET_DIFF = "subset_difference"
 SCHEME_MULTISET_FREQ = "multiset_shorthand_frequency"
 SCHEME_MULTISET_DIFF = "multiset_difference"
-
-_SCHEMES = (SCHEME_SUBSET_DIFF, SCHEME_MULTISET_FREQ, SCHEME_MULTISET_DIFF)
 
 
 @dataclass(frozen=True)
@@ -85,18 +82,6 @@ class CombObject:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "n": self.n, "k": self.k, "elements": list(self.elements)}
-
-
-@dataclass(frozen=True)
-class Representation:
-    """A combinatorial object rendered as a string under one of the schemes."""
-
-    scheme: str
-    word: Word
-
-    def __post_init__(self) -> None:
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 def subset_to_diff(obj: CombObject) -> Word:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from bwcycles.words import ParamSet, Word, _symbols, necklace_info, words_iter
+from bwcycles.words import ParamSet, Word, _render, _symbols, necklace_info, words_iter
 
 __all__ = [
     "FeedbackKind",
@@ -64,12 +64,6 @@ class ConjugatePair:
             raise ValueError("conjugate pair windows must differ exactly in the first symbol")
         if self.sigma[0] == self.sigma_hat[0]:
             raise ValueError("conjugate pair windows must differ in the first symbol")
-
-
-def _render(word: tuple[int, ...]) -> str:
-    if all(s < 10 for s in word):
-        return "".join(str(s) for s in word)
-    return ",".join(str(s) for s in word)
 
 
 def _first_nonzero(word: tuple[int, ...]) -> int:

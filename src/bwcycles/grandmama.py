@@ -4,7 +4,9 @@ The concatenation engine walks the first-nonzero parent tree of necklaces
 iteratively (probe the change index, then scan left), visiting necklaces in
 colexicographic order and emitting each one's aperiodic prefix. The successor
 engine produces the identical cyclic sequence one symbol at a time from any
-starting window, paying O(n) per symbol and at most one necklace test.
+starting window, paying O(n) per symbol and at most one necklace test. Its
+decision is shared with the missing-symbol rule of ``bwcycles.msr``: one core
+serves both, and only the lead symbol and the tested word differ.
 
 Both are instrumented: ``GenStats`` counts emitted symbols, necklace tests, and
 inner-loop iterations of the necklace test (each iteration is at most two
@@ -13,11 +15,11 @@ symbol comparisons), which is how the constant-amortized-work claim is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator, Sequence
 
-from bwcycles.words import ParamSet, Word, _symbols
+from bwcycles.words import ParamSet, Word, _period_count, _render, _symbols
 
 __all__ = [
     "UCycle",
@@ -87,23 +89,7 @@ class UCycle:
             yield self.window(i)
 
     def __str__(self) -> str:
-        if all(s < 10 for s in self.symbols):
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
-
-
-def _period_count(a: Sequence[int], n: int) -> tuple[int, int]:
-    """(smallest period or 0, inner-loop iterations executed)."""
-    p = 1
-    for i in range(1, n):
-        d = a[i] - a[i - p]
-        if d < 0:
-            return 0, i
-        if d > 0:
-            p = i + 1
-    if n % p:
-        return 0, n - 1
-    return p, n - 1
+        return _render(self.symbols)
 
 
 def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Iterator[list[int]]:
@@ -252,60 +238,71 @@ def successor_h1(
     the top instead; both paths agree everywhere and the tests assert it.
     """
     syms = _validate_window(params, window)
-    return _h1_core(params.t, params.n, params.w_eff, syms, sum(syms), exhaustive, stats)
+    return _successor_core(params.t, params.n, params.w_eff, syms, sum(syms), False, exhaustive,
+                           stats)
 
 
-def _h1_core(t, n, w, syms, weight, exhaustive, stats):
+def _successor_core(t, n, w, syms, weight, msr, exhaustive, stats):
+    """The successor decision shared by h1 (``msr`` false) and h2 (``msr`` true).
+
+    No validation. The lead symbol is a1 for h1 and the missing symbol
+    z = w - weight for h2; the tested word is 0^r x a2..aj for h1 and
+    0^r x y a2..aj, with companion y = z - x + a1, for h2. x stays 0 when no
+    candidate exists, which leaves the lead unchanged either way.
+    """
     a1 = syms[0]
-    tail_weight = weight - a1
-
+    z = w - weight
     j0 = n - 1
     while j0 >= 1 and syms[j0] == 0:
         j0 -= 1
-    if j0 < 1:
-        j0 = 0
     run_needed = n - 1 - j0
-    upper = min(t - 1, w - tail_weight)
+    tail = syms[1 : j0 + 1]
+    # h1 keeps the weight within w; for h2 the companion y must not go negative,
+    # and y < t is automatic because z + a1 <= w < t
+    upper = min(t - 1, z + a1)
 
-    x = -1
+    x = 0
     if upper >= 1:
         if exhaustive:
-            for cand in range(upper, 0, -1):
-                beta = (0,) * run_needed + (cand,) + syms[1 : j0 + 1]
-                p, it = _period_count(beta, n)
-                if stats is not None:
-                    stats.add(tests=1, comparisons=it)
-                if p:
-                    x = cand
-                    break
+            candidates = range(upper, 0, -1)
         else:
             # smallest symbol that follows a run of run_needed zeros strictly
             # inside the tail; any candidate above it cannot be a necklace
             cap = t - 1
             zrun = 0
-            for pos in range(1, j0 + 1):
-                s = syms[pos]
+            for s in tail:
                 if zrun >= run_needed and s < cap:
                     cap = s
                 if s == 0:
                     zrun += 1
                 else:
                     zrun = 0
+            if msr and run_needed == 0:
+                # with no zero padding, y immediately follows x, and the rotation
+                # starting at y caps the first symbol of any necklace: x <= y,
+                # i.e. 2x <= a1 + z. Starting above that can need several
+                # decrements (seen at t=7, n=2, w=6, window 13).
+                cap = min(cap, (a1 + z) // 2)
             x0 = min(cap, upper)
-            if x0 >= 1:
-                beta = (0,) * run_needed + (x0,) + syms[1 : j0 + 1]
-                p, it = _period_count(beta, n)
-                if stats is not None:
-                    stats.add(tests=1, comparisons=it)
-                x = x0 if p else x0 - 1
-                if x < 1:
-                    x = -1
+            candidates = (x0,) if x0 >= 1 else ()
+        for cand in candidates:
+            beta = (0,) * run_needed + ((cand, z - cand + a1) if msr else (cand,)) + tail
+            p, it = _period_count(beta, len(beta))
+            if stats is not None:
+                stats.add(tests=1, comparisons=it)
+            if p:
+                x = cand
+                break
+            if not exhaustive:
+                # the fast path's start point can fail, but then one below it holds
+                x = cand - 1
 
-    if x == -1 or a1 > x:
-        return a1
-    if a1 == x:
+    lead = z if msr else a1
+    if lead > x:
+        return lead
+    if lead == x:
         return 0
-    return a1 + 1
+    return lead + 1
 
 
 def iter_successor_chunks(
@@ -313,13 +310,14 @@ def iter_successor_chunks(
     start: "Word | Sequence[int] | None" = None,
     steps: int | None = None,
     stats: GenStats | None = None,
-    core: Callable = _h1_core,
+    msr: bool = False,
 ) -> Iterator[list[int]]:
     """Stream the cycle a successor rule draws from ``start``, as lists of symbols.
 
     ``start`` (default all zeros) is validated before the iterator is returned;
-    then ``core`` (a rule without validation, h1 by default) runs on a window
-    and weight carried as locals. The first chunk is the start window. One full
+    then the shared successor core, h1 by default or h2 when ``msr`` is set
+    (the caller checks w < t), runs without validation on a window and weight
+    carried as locals. The first chunk is the start window. One full
     period takes |Sigma_t(n,w)| - n rule calls, unless ``steps`` sets the count.
     """
     n = params.n
@@ -331,10 +329,10 @@ def iter_successor_chunks(
             syms, steps = syms[:size], 0
         else:
             steps = size - n
-    return _successor_chunks(params, syms, steps, stats, core)
+    return _successor_chunks(params, syms, steps, stats, msr)
 
 
-def _successor_chunks(params, win, steps, stats, core):
+def _successor_chunks(params, win, steps, stats, msr):
     t, n, w = params.t, params.n, params.w_eff
     weight = sum(win)
     if stats is not None:
@@ -345,7 +343,7 @@ def _successor_chunks(params, win, steps, stats, core):
         steps -= k
         chunk = []
         for _ in range(k):
-            s = core(t, n, w, win, weight, False, stats)
+            s = _successor_core(t, n, w, win, weight, msr, False, stats)
             chunk.append(s)
             weight += s - win[0]
             win = win[1:] + (s,)

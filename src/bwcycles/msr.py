@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
 
-from bwcycles.grandmama import (GenStats, UCycle, _period_count, _validate_window,
+from bwcycles.grandmama import (GenStats, UCycle, _successor_core, _validate_window,
                                 iter_successor_chunks)
-from bwcycles.words import ParamSet, Word, _symbols, words_iter
+from bwcycles.words import ParamSet, Word, _period_count, words_iter
 
 __all__ = [
-    "MsrState",
     "successor_h2",
     "iter_msr_chunks",
     "generate_msr",
@@ -45,94 +44,9 @@ def _require_small_weight(params: ParamSet) -> tuple[int, int, int]:
     return t, n, w
 
 
-@dataclass(frozen=True)
-class MsrState:
-    """A window plus its missing symbol z = w - weight(window), updated in O(1).
-
-    Carrying z with the window makes each successor step constant-overhead
-    bookkeeping: feeding symbol s turns z into z + window[0] - s.
-    """
-
-    params: ParamSet
-    window: tuple[int, ...]
-    z: int
-
-    @classmethod
-    def from_window(cls, params: ParamSet, window: "Word | Sequence[int]") -> "MsrState":
-        t, n, w = _require_small_weight(params)
-        syms = _validate_window(params, window)
-        return cls(params, syms, w - sum(syms))
-
-    def step(self, symbol: int) -> "MsrState":
-        z = self.z + self.window[0] - symbol
-        window = self.window[1:] + (symbol,)
-        if not 0 <= z < self.params.t:
-            raise ValueError(f"feeding {symbol} after {self.window} leaves the universe")
-        return MsrState(self.params, window, z)
-
-
-def _h2_core(t, n, w, syms, weight, exhaustive, stats):
-    a1 = syms[0]
-    z = w - weight
-    j0 = n - 1
-    while j0 >= 1 and syms[j0] == 0:
-        j0 -= 1
-    if j0 < 1:
-        j0 = 0
-    run_needed = n - 1 - j0
-    # x may not exceed a1 + z, or the companion symbol y = z - x + a1 would go
-    # negative; y < t is automatic because z + a1 <= w < t
-    upper = min(t - 1, a1 + z)
-
-    x = -1
-    if upper >= 1:
-        if exhaustive:
-            for cand in range(upper, 0, -1):
-                beta = (0,) * run_needed + (cand, z - cand + a1) + syms[1 : j0 + 1]
-                p, it = _period_count(beta, n + 1)
-                if stats is not None:
-                    stats.add(tests=1, comparisons=it)
-                if p:
-                    x = cand
-                    break
-        else:
-            cap = t - 1
-            zrun = 0
-            for pos in range(1, j0 + 1):
-                s = syms[pos]
-                if zrun >= run_needed and s < cap:
-                    cap = s
-                if s == 0:
-                    zrun += 1
-                else:
-                    zrun = 0
-            if run_needed == 0:
-                # with no zero padding, the companion symbol y = z - x + a1
-                # immediately follows x, and the rotation starting at y caps
-                # the first symbol of any necklace: x <= y, i.e. 2x <= a1 + z.
-                # Starting above that can need several decrements (seen at
-                # t=7, n=2, w=6, window 13), so fold it into the start point.
-                cap = min(cap, (a1 + z) // 2)
-            x0 = min(cap, upper)
-            if x0 >= 1:
-                beta = (0,) * run_needed + (x0, z - x0 + a1) + syms[1 : j0 + 1]
-                p, it = _period_count(beta, n + 1)
-                if stats is not None:
-                    stats.add(tests=1, comparisons=it)
-                x = x0 if p else x0 - 1
-                if x < 1:
-                    x = -1
-
-    if x == -1 or z > x:
-        return z
-    if z == x:
-        return 0
-    return z + 1
-
-
 def successor_h2(
     params: ParamSet,
-    window: "Word | Sequence[int] | MsrState",
+    window: "Word | Sequence[int]",
     *,
     exhaustive: bool = False,
     stats: GenStats | None = None,
@@ -143,16 +57,12 @@ def successor_h2(
     the leading role: find the largest x >= 1 such that 0^(n-j) x y a2..aj is a
     necklace of length n+1 (y keeps the weight at w); emit 0 if z = x, z + 1 if
     z < x, and plain z otherwise. Costs at most one necklace test per call on
-    the default path; ``exhaustive=True`` is the brute-force cross-check.
-
-    Pass an ``MsrState`` to reuse its carried z instead of re-summing the
-    window.
+    the default path; ``exhaustive=True`` is the brute-force cross-check. The
+    decision itself is the one ``successor_h1`` makes, with z in a1's place.
     """
     t, n, w = _require_small_weight(params)
-    if isinstance(window, MsrState):
-        return _h2_core(t, n, w, window.window, w - window.z, exhaustive, stats)
     syms = _validate_window(params, window)
-    return _h2_core(t, n, w, syms, sum(syms), exhaustive, stats)
+    return _successor_core(t, n, w, syms, sum(syms), True, exhaustive, stats)
 
 
 def iter_msr_chunks(
@@ -163,7 +73,7 @@ def iter_msr_chunks(
 ) -> Iterator[list[int]]:
     """``iter_successor_chunks`` driven by the missing-symbol rule h2 (needs w < t)."""
     _require_small_weight(params)
-    return iter_successor_chunks(params, start, steps, stats, _h2_core)
+    return iter_successor_chunks(params, start, steps, stats, msr=True)
 
 
 def generate_msr(
@@ -171,13 +81,10 @@ def generate_msr(
     start: "Word | Sequence[int] | None" = None,
     steps: int | None = None,
     stats: GenStats | None = None,
-    debug: bool = False,
 ) -> UCycle:
     """Iterate the missing-symbol successor for one full period (or ``steps``).
 
-    The materialised form of ``iter_msr_chunks``. ``debug`` has no further
-    effect: every run re-derives the carried weight, and so z, from scratch at
-    each chunk boundary and raises on any drift.
+    The materialised form of ``iter_msr_chunks``.
     """
     chunks = iter_msr_chunks(params, start, steps, stats)
     return UCycle(tuple(chain.from_iterable(chunks)), params, "msr")

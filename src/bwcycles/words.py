@@ -29,6 +29,12 @@ __all__ = [
 ]
 
 
+def _render(symbols: Sequence[int]) -> str:
+    """Digits run together when every symbol is a single digit, else comma-separated."""
+    sep = "" if all(s < 10 for s in symbols) else ","
+    return sep.join(map(str, symbols))
+
+
 def _symbols(word: "Word | Sequence[int]") -> tuple[int, ...]:
     """Normalize a Word or any int sequence to a plain tuple of ints."""
     if isinstance(word, Word):
@@ -79,9 +85,7 @@ class Word:
         return self.symbols[i]
 
     def __str__(self) -> str:
-        if all(s < 10 for s in self.symbols):
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+        return _render(self.symbols)
 
 
 @dataclass(frozen=True)
@@ -150,22 +154,24 @@ def colex_less(a: "Word | Sequence[int]", b: "Word | Sequence[int]") -> bool:
     return ta[::-1] < tb[::-1]
 
 
-def _period_if_necklace(word: Sequence[int]) -> int:
-    """Smallest period p if the word is a necklace, else 0. Single left-to-right pass.
+def _period_count(a: Sequence[int], n: int) -> tuple[int, int]:
+    """(smallest period if a[:n] is a necklace else 0, inner-loop iterations run).
 
-    Runs the classic incremental test: p is the period of the prefix scanned so
-    far; a symbol below its p-back neighbour kills minimality, a symbol above it
-    restarts the period at the full prefix length. The word is a necklace exactly
-    when the final p divides the length.
+    The package's one necklace test, a single left-to-right pass: p is the
+    period of the prefix scanned so far; a symbol below its p-back neighbour
+    kills minimality, a symbol above it restarts the period at the full prefix
+    length. The word is a necklace exactly when the final p divides n.
     """
     p = 1
-    for i in range(1, len(word)):
-        d = word[i] - word[i - p]
+    for i in range(1, n):
+        d = a[i] - a[i - p]
         if d < 0:
-            return 0
+            return 0, i
         if d > 0:
             p = i + 1
-    return p if len(word) % p == 0 else 0
+    if n % p:
+        return 0, n - 1
+    return p, n - 1
 
 
 def necklace_info(word: "Word | Sequence[int]") -> NecklaceInfo:
@@ -178,7 +184,7 @@ def necklace_info(word: "Word | Sequence[int]") -> NecklaceInfo:
     syms = _symbols(word)
     if not syms:
         raise ValueError("necklace test needs a non-empty word")
-    p = _period_if_necklace(syms)
+    p, _ = _period_count(syms, len(syms))
     if p == 0:
         return NecklaceInfo(False, None)
     return NecklaceInfo(True, p)
@@ -201,7 +207,7 @@ def enumerate_bounded_necklaces(params: ParamSet) -> list[Word]:
     found = [
         word
         for word in product(range(t), repeat=n)
-        if sum(word) <= w and _period_if_necklace(word) > 0
+        if sum(word) <= w and _period_count(word, n)[0] > 0
     ]
     found.sort(key=_colex_key)
     return [Word(syms, t) for syms in found]

@@ -195,14 +195,20 @@ def test_verify_cap_refused_before_any_work(capsys, monkeypatch):
                        (["--subsets", "20", "10"], 184756),
                        (["--multisets-freq", "12", "9"], 167960),
                        (["--multisets-diff", "12", "9", "--engine", "msr"], 167960),
-                       (["--t", "4", "--n", "3", "--w", "3", "--sequence", "0123"], 20)]:
-        code, out, err = run(capsys, "verify", *argv, "--max-universe", "19")
-        assert (code, out, err) == (2, "", f"error: universe has {size} elements, above the cap 19\n")
-    monkeypatch.undo()
-    # the fixed-weight universe is not the cell's, so the oracle still checks that cap
-    code, out, err = run(capsys, "verify", "--t", "4", "--n", "3", "--w", "3",
-                         "--against", "fixed-weight", "--max-universe", "19")
-    assert (code, out, err) == (2, "", "error: universe has 20 elements, above the cap 19\n")
+                       (["--t", "4", "--n", "3", "--w", "3", "--sequence", "0123"], 20),
+                       # length-4 words of weight exactly 3 (or 4, or 0), not the cell's universe
+                       (["--t", "4", "--n", "3", "--w", "3", "--against", "fixed-weight"], 20),
+                       (["--t", "4", "--n", "3", "--w", "4", "--against", "fixed-weight"], 31),
+                       (["--t", "3", "--n", "5", "--w", "0", "--against", "fixed-weight",
+                         "--sequence", "0"], 1)]:
+        cap = "0" if size == 1 else "19"
+        code, out, err = run(capsys, "verify", *argv, "--max-universe", cap)
+        expected = f"error: universe has {size} elements, above the cap {cap}\n"
+        assert (code, out, err) == (2, "", expected)
+    # fixed-weight expansion needs w <= t, which the flags alone decide
+    code, out, err = run(capsys, "verify", "--t", "4", "--n", "9", "--w", "13",
+                         "--against", "fixed-weight")
+    assert (code, out, err) == (2, "", "error: fixed-weight expansion needs w <= t, got w=13 t=4\n")
 
 
 def test_tree_outputs(capsys):

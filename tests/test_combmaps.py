@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 
 from bwcycles.combmaps import (
     CombObject,
-    Representation,
     SCHEME_MULTISET_DIFF,
     SCHEME_MULTISET_FREQ,
-    SCHEME_SUBSET_DIFF,
     decode_window,
     diff_to_multiset,
     diff_to_subset,
@@ -112,13 +110,6 @@ def test_comb_object_validation():
         "k": 3,
         "elements": [2, 2, 4],
     }
-
-
-def test_representation_scheme_names():
-    rep = Representation(SCHEME_SUBSET_DIFF, Word((1, 2, 1), 4))
-    assert rep.scheme == "subset_difference"
-    with pytest.raises(ValueError):
-        Representation("difference", Word((1,), 2))
 
 
 @given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 7))))

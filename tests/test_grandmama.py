@@ -10,8 +10,9 @@ from bwcycles.grandmama import (
     iter_concat_prefixes,
     successor_h1,
 )
+from bwcycles.msr import successor_h2
 from bwcycles.oracle import enumerate_universe, verify_universal_cycle
-from bwcycles.words import ParamSet, Word, enumerate_bounded_necklaces, necklace_info
+from bwcycles.words import ParamSet, Word, enumerate_bounded_necklaces, necklace_info, words_iter
 
 
 GOLDEN = {
@@ -159,6 +160,38 @@ def test_optimized_equals_exhaustive():
             assert successor_h1(params, win) == successor_h1(
                 params, win, exhaustive=True
             ), (t, n, w, win)
+
+
+def test_successor_stats_pinned():
+    # (necklace_tests, comparisons, symbols) as the separate h1 core counted them
+    params = ParamSet(4, 6, 9)
+    seed = generate_concat(params).symbols[7:13]
+    for start, expected in [(None, (824, 4061, 2338)), (seed, (825, 4066, 2338))]:
+        stats = GenStats()
+        generate_by_successor(params, start=start, stats=stats)
+        assert (stats.necklace_tests, stats.comparisons, stats.symbols) == expected, start
+
+
+@pytest.mark.slow
+def test_fast_equals_exhaustive_on_a_wide_grid():
+    h1_windows = h2_windows = 0
+    for t in range(2, 13):
+        for n in range(1, 6):
+            for w in range(n * (t - 1) + 1):
+                params = ParamSet(t, n, w)
+                h1_cell = (t <= 8 and n <= 4) or n <= 3
+                for win in words_iter(t, n, w) if h1_cell or w < t else ():
+                    if h1_cell:
+                        h1_windows += 1
+                        fast = successor_h1(params, win)
+                        assert fast == successor_h1(params, win, exhaustive=True), (params, win)
+                    if w < t:
+                        h2_windows += 1
+                        stats = GenStats()
+                        fast = successor_h2(params, win, stats=stats)
+                        assert stats.necklace_tests <= 1, (params, win)
+                        assert fast == successor_h2(params, win, exhaustive=True), (params, win)
+    assert (h1_windows, h2_windows) == (209_247, 50_292)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from bwcycles.grandmama import GenStats
 from bwcycles.msr import (
-    MsrState,
     check_conjecture,
     generate_msr,
     generate_reverse_colex,
@@ -83,7 +82,7 @@ def test_successor_h2_optimized_equals_exhaustive():
 def test_msr_universality_spot():
     for t, n, w in [(5, 3, 4), (4, 4, 3), (3, 5, 2), (6, 2, 5), (4, 1, 3)]:
         p = ParamSet(t, n, w)
-        cycle = generate_msr(p, debug=True)
+        cycle = generate_msr(p)
         universe = enumerate_universe("bounded_words", t=t, n=n, w=p.w_eff)
         assert verify_universal_cycle(cycle, universe).ok, (t, n, w)
 
@@ -103,30 +102,29 @@ def test_msr_degenerates():
     assert str(generate_reverse_colex(ParamSet(4, 1, 3))) == "0312"
 
 
-def test_msr_state():
-    p = ParamSet(5, 3, 4)
-    s = MsrState.from_window(p, (0, 0, 0))
-    assert s.z == 4
-    s2 = s.step(4)
-    assert s2.window == (0, 0, 4) and s2.z == 0
-    assert successor_h2(p, s2) == 0
-    with pytest.raises(ValueError):
-        s.step(9)
-
-
 @given(st.integers(2, 5), st.integers(1, 5), st.data())
 @settings(max_examples=60, deadline=None)
 def test_msr_state_z_invariant(t, n, data):
+    # the missing symbol z = w - weight(window) updates in O(1) along the cycle
     w = data.draw(st.integers(0, t - 1))
     p = ParamSet(t, n, w)
     cycle = generate_msr(p)
     if len(cycle) < n:
         return
-    state = MsrState.from_window(p, cycle.symbols[:n])
-    for s in cycle.symbols[n:]:
-        state = state.step(s)
-        assert state.z == p.w_eff - sum(state.window)
-        assert 0 <= state.z < t
+    windows = list(cycle.windows())
+    z = p.w_eff - sum(windows[0])
+    for win, nxt in zip(windows, windows[1:] + windows[:1]):
+        z += win[0] - nxt[-1]
+        assert z == p.w_eff - sum(nxt)
+        assert 0 <= z < t
+
+
+def test_msr_stats_pinned():
+    # (necklace_tests, comparisons, symbols) as the separate h2 core counted them
+    for (t, n, w), expected in [((7, 5, 6), (161, 751, 462)), ((10, 4, 9), (347, 1275, 715))]:
+        stats = GenStats()
+        generate_msr(ParamSet(t, n, w), stats=stats)
+        assert (stats.necklace_tests, stats.comparisons, stats.symbols) == expected, (t, n, w)
 
 
 def test_check_conjecture_small():

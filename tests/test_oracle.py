@@ -109,21 +109,21 @@ def test_universe_unknown_kind():
 
 @given(st.integers(2, 3), st.integers(1, 4), st.integers(0, 6), st.randoms())
 def test_shuffled_cycle_fails_unless_rotation(t, n, w, rng):
-    # a cyclic rotation of a valid cycle still verifies; a corrupted symbol does not
+    # every rotation of a valid cycle still verifies; changing any one symbol
+    # does not, since it shifts the weight sum of the windows it touches
     universe = enumerate_universe("bounded_words", t=t, n=n, w=w)
-    # build a valid cycle by brute force only for tiny universes: skip otherwise
     if len(universe) > 40:
         return
-    # rotations of any sequence have the same window multiset
-    base = [0, 0, 1, 1] if (t, n, w) == (2, 2, 2) else None
-    if base is None:
-        return
-    k = rng.randrange(4)
+    base = list(generate_concat(ParamSet(t, n, w)).symbols)
+    for k in range(len(base)):
+        assert verify_universal_cycle(base[k:] + base[:k], universe, window_len=n).ok, k
+    k = rng.randrange(len(base))
     rotated = base[k:] + base[:k]
-    assert verify_universal_cycle(rotated, universe, window_len=2).ok
-    corrupted = list(rotated)
-    corrupted[0] ^= 1
-    assert not verify_universal_cycle(corrupted, universe, window_len=2).ok
+    for i, old in enumerate(rotated):
+        for new in range(t):
+            if new != old:
+                corrupted = rotated[:i] + [new] + rotated[i + 1 :]
+                assert not verify_universal_cycle(corrupted, universe, window_len=n).ok, (i, new)
 
 
 # --- the rewritten oracle against the tuple-per-index implementation it replaced ---
