@@ -1,12 +1,14 @@
 """Command-line front end: generate, decode, verify, tree, conjecture.
 
 Generation streams the engine's chunks straight to stdout, rendered and
-written a batch at a time, so memory stays O(n + batch) however long the cycle
-(the verify and conjecture modes buffer, and say so via their --max-universe /
-sweep caps). A seed window is checked before anything is written, and --stats
-reports the same counters as the library run of the same cycle. Exit codes: 0
-success, 1 verification failure, 2 usage or parameter error, and every error
-prints a single "error: ..." line on stderr.
+written a batch at a time, so memory stays O(n + batch) however long the cycle;
+decode reads the same stream only up to the end of its window (the verify and
+conjecture modes buffer, and say so via their --max-universe / sweep caps).
+Encoded kinds are read from ``combmaps.ENCODINGS`` and every engine starts
+through ``combmaps.engine_chunks``. A seed window is checked before anything
+is written, and --stats reports the same counters as the library run of the
+same cycle. Exit codes: 0 success, 1 verification failure, 2 usage or
+parameter error, and every error prints a single "error: ..." line on stderr.
 
 The reverse-colex engine is the one construction that cannot stream: it sorts
 the whole necklace list before emitting anything, so its output is buffered no
@@ -16,30 +18,22 @@ matter the format.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain
-from math import comb
+from itertools import chain, islice
 from typing import Iterator, Sequence
 
-from bwcycles.combmaps import (
-    SCHEME_MULTISET_DIFF,
-    SCHEME_MULTISET_FREQ,
-    SCHEME_SUBSET_DIFF,
-    decode_window,
-    fixed_weight_expand,
-)
+from bwcycles.combmaps import ENCODINGS, ENGINES, Encoding, engine_chunks, fixed_weight_expand
 from bwcycles.cyclejoin import FeedbackKind, build_tree
-from bwcycles.grandmama import GenStats, UCycle, iter_concat_prefixes, iter_successor_chunks
-from bwcycles.msr import check_conjecture, generate_reverse_colex, iter_msr_chunks
+from bwcycles.grandmama import GenStats, UCycle
+from bwcycles.msr import check_conjecture
 from bwcycles.oracle import enumerate_universe, verify_listing, verify_universal_cycle
 from bwcycles.words import ParamSet, count_bounded_words
 
 __all__ = ["main"]
-
-ENGINES = ("grandmama", "msr", "reverse-colex")
 
 # symbols per render call and write: per-write costs vanish, memory stays small
 RENDER_BATCH = 1 << 16
@@ -59,12 +53,13 @@ class _OneLineParser(argparse.ArgumentParser):
 class _Cell:
     """A resolved target: which word cell the engines run on and how to display it."""
 
-    kind: str  # words | subsets | multisets-freq | multisets-diff
+    kind: str  # words, or an ENCODINGS key
     params: ParamSet
-    nk: tuple[int, int] | None
-    shift: int  # added to every engine symbol on output
-    scheme: str | None
     length: int
+    enc: Encoding | None = None  # the table entry of an encoded kind
+    nk: tuple[int, int] | None = None
+    shift: int = 0  # added to every engine symbol on output
+    scheme: str | None = None
 
 
 def _parse_symbols(text: str) -> tuple[int, ...]:
@@ -86,48 +81,27 @@ def _add_cell_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--t", type=int, help="alphabet size")
     sp.add_argument("--n", type=int, help="window length")
     sp.add_argument("--w", type=int, help="weight bound")
-    sp.add_argument("--subsets", nargs=2, type=int, metavar=("N", "K"),
-                    help="k-subsets of {1..n} in difference representation")
-    sp.add_argument("--multisets-freq", nargs=2, type=int, metavar=("N", "K"),
-                    help="k-multisets of {1..n} in shorthand frequency representation")
-    sp.add_argument("--multisets-diff", nargs=2, type=int, metavar=("N", "K"),
-                    help="k-multisets of {1..n} in difference representation")
+    for kind, enc in ENCODINGS.items():
+        sp.add_argument(f"--{kind}", nargs=2, type=int, metavar=("N", "K"), help=enc.help)
 
 
 def _resolve_cell(args) -> _Cell:
-    groups = []
+    given = {kind: getattr(args, kind.replace("-", "_")) for kind in ENCODINGS}
+    groups = [kind for kind, nk in given.items() if nk is not None]
     if args.t is not None or args.n is not None or args.w is not None:
         groups.append("words")
-    if args.subsets is not None:
-        groups.append("subsets")
-    if args.multisets_freq is not None:
-        groups.append("multisets-freq")
-    if args.multisets_diff is not None:
-        groups.append("multisets-diff")
     if len(groups) != 1:
-        raise CliError(
-            "choose exactly one of --t/--n/--w, --subsets, --multisets-freq, --multisets-diff"
-        )
+        flags = ", ".join(f"--{kind}" for kind in ENCODINGS)
+        raise CliError(f"choose exactly one of --t/--n/--w, {flags}")
     kind = groups[0]
     if kind == "words":
         if args.t is None or args.n is None or args.w is None:
             raise CliError("--t, --n and --w must all be given")
         params = ParamSet(args.t, args.n, args.w)
-        return _Cell("words", params, None, 0, None, params.universe_size)
-    if kind == "subsets":
-        n, k = args.subsets
-        if not 1 <= k <= n:
-            raise CliError(f"subsets need 1 <= k <= n, got n={n} k={k}")
-        return _Cell(kind, ParamSet(n - k + 1, k, n - k), (n, k), 1,
-                     SCHEME_SUBSET_DIFF, comb(n, k))
-    n, k = args.multisets_freq if kind == "multisets-freq" else args.multisets_diff
-    if n < 2 or k < 2:
-        raise CliError(f"multiset cycles assume n, k >= 2, got n={n} k={k}")
-    if kind == "multisets-freq":
-        return _Cell(kind, ParamSet(k + 1, n - 1, k), (n, k), 0,
-                     SCHEME_MULTISET_FREQ, comb(n + k - 1, k))
-    return _Cell(kind, ParamSet(n, k, n - 1), (n, k), 0,
-                 SCHEME_MULTISET_DIFF, comb(n + k - 1, k))
+        return _Cell(kind, params, params.universe_size)
+    enc = ENCODINGS[kind]
+    n, k = given[kind]
+    return _Cell(kind, enc.params(n, k), enc.length(n, k), enc, (n, k), enc.shift, enc.scheme)
 
 
 def _resolve_seed(args, cell: _Cell) -> tuple[int, ...] | None:
@@ -145,22 +119,6 @@ def _resolve_seed(args, cell: _Cell) -> tuple[int, ...] | None:
 
 
 # --- generate -------------------------------------------------------------
-
-
-def _symbol_chunks(cell: _Cell, engine: str, seed: tuple[int, ...] | None, limit: int | None,
-                   stats: GenStats | None) -> tuple[str, Iterator[Sequence[int]]]:
-    """(engine tag, iterator over chunks of engine-alphabet symbols of the full cycle)."""
-    params = cell.params
-    # a successor engine stops at the last kept symbol, so its counters match the output
-    steps = None if limit is None or limit >= params.universe_size else max(limit - params.n, 0)
-    if engine == "grandmama":
-        if seed is None:
-            return "grandmama-concat", iter_concat_prefixes(params, stats)
-        return "grandmama-successor", iter_successor_chunks(params, seed, steps, stats)
-    if engine == "msr":
-        return "msr", iter_msr_chunks(params, seed, steps, stats)
-    cyc = generate_reverse_colex(params, stats)  # seeds were refused by _resolve_seed
-    return cyc.engine, iter((cyc.symbols,))
 
 
 def _take(chunks: Iterator[Sequence[int]], limit: int) -> Iterator[Sequence[int]]:
@@ -221,14 +179,17 @@ def cmd_generate(args) -> int:
         raise CliError(f"compact format needs all symbols < 10, but they reach {top}")
 
     stats = GenStats() if args.stats else None
-    tag, chunks = _symbol_chunks(cell, args.engine, seed, args.limit, stats)
-    emit_len = cell.length if args.limit is None else min(cell.length, args.limit)
-    if args.limit is not None:
-        chunks = _take(chunks, args.limit)
+    p, limit = cell.params, args.limit
+    # a successor engine stops at the last kept symbol, so its counters match the output
+    steps = None if limit is None or limit >= p.universe_size else max(limit - p.n, 0)
+    tag, chunks = engine_chunks(p, args.engine, seed, steps, stats)
+    emit_len = cell.length if limit is None else min(cell.length, limit)
+    if limit is not None:
+        chunks = _take(chunks, limit)
 
     meta = {
         "engine": tag,
-        "scheme": None if cell.scheme is None else
+        "scheme": None if cell.enc is None else
                   {"name": cell.scheme, "n": cell.nk[0], "k": cell.nk[1]},
         "t": cell.params.t,
         "n": cell.params.n,
@@ -252,7 +213,7 @@ def cmd_generate(args) -> int:
 
 
 def _build_cycle(cell: _Cell, engine: str, seed: tuple[int, ...] | None) -> UCycle:
-    tag, chunks = _symbol_chunks(cell, engine, seed, None, None)
+    tag, chunks = engine_chunks(cell.params, engine, seed)
     symbols = chain.from_iterable(chunks)
     if cell.shift:
         symbols = (s + cell.shift for s in symbols)
@@ -261,28 +222,28 @@ def _build_cycle(cell: _Cell, engine: str, seed: tuple[int, ...] | None) -> UCyc
 
 def cmd_decode(args) -> int:
     cell = _resolve_cell(args)
-    cycle = _build_cycle(cell, args.engine, _resolve_seed(args, cell))
-    obj = decode_window(cycle, args.position)
-    if cell.scheme is None:
-        payload = {"kind": "word", "t": obj.t, "symbols": list(obj.symbols)}
+    _, chunks = engine_chunks(cell.params, args.engine, _resolve_seed(args, cell))
+    position, length, n = args.position, cell.length, cell.params.n
+    if not 0 <= position < length:
+        raise CliError(f"position {position} outside 0..{length - 1}")
+    # read only up to the window's end; the first n symbols continue a cycle that
+    # ends inside the window (all of them, when the cycle is shorter than n)
+    symbols = chain.from_iterable(chunks)
+    head = list(islice(symbols, n))
+    window = list(islice(chain(head, symbols, itertools.cycle(head)), position, position + n))
+    if cell.enc is None:
+        payload = {"kind": "word", "t": cell.params.t, "symbols": window}
     else:
-        payload = obj.to_dict()
+        payload = cell.enc.decode([s + cell.shift for s in window], *cell.nk).to_dict()
     print(json.dumps(payload))
     return 0
 
 
-_AGAINST_FOR_KIND = {
-    "words": ("words", "fixed-weight"),
-    "subsets": ("subsets",),
-    "multisets-freq": ("multisets-freq",),
-    "multisets-diff": ("multisets-diff",),
-}
-
-
 def cmd_verify(args) -> int:
     cell = _resolve_cell(args)
-    against = args.against or _AGAINST_FOR_KIND[cell.kind][0]
-    if against not in _AGAINST_FOR_KIND[cell.kind]:
+    fits = ("words", "fixed-weight") if cell.enc is None else (cell.kind,)
+    against = args.against or fits[0]
+    if against not in fits:
         raise CliError(f"--against {against} does not fit the {cell.kind} parameters")
 
     # every check the flags decide is made before a cycle is built or a universe enumerated
@@ -302,17 +263,14 @@ def cmd_verify(args) -> int:
     else:
         cycle = _build_cycle(cell, args.engine, _resolve_seed(args, cell))
 
-    if against == "words":
-        universe = enumerate_universe("bounded_words", t=p.t, n=p.n, w=p.w_eff)
-        report = verify_universal_cycle(cycle, universe, max_universe=args.max_universe)
-    elif against == "fixed-weight":
+    if against == "fixed-weight":
         universe = enumerate_universe("fixed_weight_words", t=p.t, length=p.n + 1, weight=p.w_eff)
         report = verify_listing(fixed_weight_expand(cycle), universe, max_universe=args.max_universe)
     else:
-        n, k = cell.nk
-        kind = {"subsets": "subset_diff", "multisets-freq": "multiset_freq",
-                "multisets-diff": "multiset_diff"}[against]
-        universe = enumerate_universe(kind, n=n, k=k)
+        if cell.enc is None:
+            universe = enumerate_universe("bounded_words", t=p.t, n=p.n, w=p.w_eff)
+        else:
+            universe = enumerate_universe(cell.enc.universe, n=cell.nk[0], k=cell.nk[1])
         report = verify_universal_cycle(cycle, universe, max_universe=args.max_universe)
 
     print(json.dumps(report.to_dict(), indent=2))
@@ -394,8 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="brute-force check a cycle against its universe")
     _add_cell_flags(v)
     v.add_argument("--engine", choices=ENGINES, default="grandmama")
-    v.add_argument("--against",
-                   choices=("words", "fixed-weight", "subsets", "multisets-freq", "multisets-diff"),
+    v.add_argument("--against", choices=("words", "fixed-weight", *ENCODINGS),
                    default=None, help="universe to check (defaults to the parameter kind)")
     v.add_argument("--sequence", default=None,
                    help="verify this sequence instead of generating one")

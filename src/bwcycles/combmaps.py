@@ -13,15 +13,21 @@ Each representation turns the object family into exactly the weight-bounded
 word universe some (t, n, w) cell generates, so the engines from grandmama and
 msr yield universal cycles for k-subsets and k-multisets directly. For subsets
 the engine alphabet {0..n-k} is shifted up by one on output.
+
+``ENCODINGS`` holds each encoding's facts in one row, and ``engine_chunks``
+is the one engine dispatch; the ``ucycle_*`` makers, ``decode_window`` and the
+CLI read both. The oracle enumerates its universes on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from math import comb
+from typing import Callable, Iterator, Sequence
 
-from bwcycles.grandmama import UCycle, generate_concat
-from bwcycles.msr import generate_msr, generate_reverse_colex
+from bwcycles.grandmama import GenStats, UCycle, iter_concat_prefixes, iter_successor_chunks
+from bwcycles.msr import generate_reverse_colex, iter_msr_chunks
 from bwcycles.words import ParamSet, Word, _symbols
 
 __all__ = [
@@ -29,6 +35,10 @@ __all__ = [
     "SCHEME_SUBSET_DIFF",
     "SCHEME_MULTISET_FREQ",
     "SCHEME_MULTISET_DIFF",
+    "ENGINES",
+    "Encoding",
+    "ENCODINGS",
+    "engine_chunks",
     "subset_to_diff",
     "diff_to_subset",
     "multiset_to_freq",
@@ -165,79 +175,119 @@ def diff_to_multiset(word: "Word | Sequence[int]", n: int) -> CombObject:
     return CombObject("multiset", n, len(diffs), tuple(elements))
 
 
-def _run_engine(params: ParamSet, engine: str) -> UCycle:
+ENGINES = ("grandmama", "msr", "reverse-colex")
+
+
+def engine_chunks(
+    params: ParamSet,
+    engine: str,
+    start: "Sequence[int] | None" = None,
+    steps: int | None = None,
+    stats: GenStats | None = None,
+) -> tuple[str, Iterator[Sequence[int]]]:
+    """Start one engine on one word cell: (engine tag, chunks of the cycle's symbols).
+
+    Errors are raised here, not at the first chunk. A ``start`` window switches
+    grandmama to its successor rule and ``steps`` bounds successor calls; reverse
+    colex sorts every necklace first, so it builds its cycle here and takes neither.
+    """
     if engine == "grandmama":
-        return generate_concat(params)
+        if start is None:
+            return "grandmama-concat", iter_concat_prefixes(params, stats)
+        return "grandmama-successor", iter_successor_chunks(params, start, steps, stats)
     if engine == "msr":
-        return generate_msr(params)
-    if engine == "reverse-colex":
-        return generate_reverse_colex(params)
-    raise ValueError(f"unknown engine {engine!r}")
+        return "msr", iter_msr_chunks(params, start, steps, stats)
+    if engine != "reverse-colex":
+        raise ValueError(f"unknown engine {engine!r}")
+    if start is not None:
+        raise ValueError("reverse-colex takes no start window")
+    cyc = generate_reverse_colex(params, stats)
+    return cyc.engine, iter((cyc.symbols,))
+
+
+@dataclass(frozen=True)
+class Encoding:
+    """How one family of (n, k) objects rides on a weight-bounded word cell."""
+
+    scheme: str
+    cell: Callable[[int, int], ParamSet]  # (n, k) -> the (t, n, w) cell the engines run on
+    shift: int  # added to every engine symbol to give the displayed window
+    decode: Callable[[Sequence[int], int, int], CombObject]  # (displayed window, n, k)
+    length: Callable[[int, int], int]  # closed-form cycle length, |universe|
+    accepts: Callable[[int, int], bool]  # the (n, k) range cycles are built for
+    refusal: str  # the error for (n, k) outside it, formatted with n and k
+    universe: str  # the oracle's enumerate_universe kind
+    help: str  # CLI flag help
+
+    def params(self, n: int, k: int) -> ParamSet:
+        """The word cell for (n, k), after the guard."""
+        if not self.accepts(n, k):
+            raise ValueError(self.refusal.format(n=n, k=k))
+        return self.cell(n, k)
+
+
+def _multiset_length(n: int, k: int) -> int:
+    return comb(n + k - 1, k)
+
+
+def _multisets_accepted(n: int, k: int) -> bool:
+    return n >= 2 and k >= 2
+
+
+_MULTISET_REFUSAL = "multiset cycles assume n, k >= 2, got n={n} k={k}"
+
+# keyed by the CLI kind, in the order the CLI lists them
+ENCODINGS: dict[str, Encoding] = {
+    "subsets": Encoding(
+        SCHEME_SUBSET_DIFF, cell=lambda n, k: ParamSet(n - k + 1, k, n - k), shift=1,
+        decode=lambda win, n, k: diff_to_subset(win, n), length=comb,
+        accepts=lambda n, k: 1 <= k <= n, refusal="subsets need 1 <= k <= n, got n={n} k={k}",
+        universe="subset_diff", help="k-subsets of {1..n} in difference representation"),
+    "multisets-freq": Encoding(
+        SCHEME_MULTISET_FREQ, cell=lambda n, k: ParamSet(k + 1, n - 1, k), shift=0,
+        decode=lambda win, n, k: freq_to_multiset(win, k), length=_multiset_length,
+        accepts=_multisets_accepted, refusal=_MULTISET_REFUSAL, universe="multiset_freq",
+        help="k-multisets of {1..n} in shorthand frequency representation"),
+    "multisets-diff": Encoding(
+        SCHEME_MULTISET_DIFF, cell=lambda n, k: ParamSet(n, k, n - 1), shift=0,
+        decode=lambda win, n, k: diff_to_multiset(win, n), length=_multiset_length,
+        accepts=_multisets_accepted, refusal=_MULTISET_REFUSAL, universe="multiset_diff",
+        help="k-multisets of {1..n} in difference representation"),
+}
+
+_BY_SCHEME = {enc.scheme: enc for enc in ENCODINGS.values()}
+
+
+def _ucycle(kind: str, n: int, k: int, engine: str) -> UCycle:
+    enc = ENCODINGS[kind]
+    params = enc.params(n, k)
+    tag, chunks = engine_chunks(params, engine)
+    symbols = chain.from_iterable(chunks)
+    if enc.shift:
+        symbols = (s + enc.shift for s in symbols)
+    return UCycle(tuple(symbols), params, tag, scheme=enc.scheme, scheme_params=(n, k))
 
 
 def ucycle_subsets(n: int, k: int, engine: str = "grandmama") -> UCycle:
     """Universal cycle for the k-subsets of {1..n} in difference representation.
 
-    Runs the chosen engine on the (n-k+1, k, n-k) word cell and shifts every
-    symbol up by one; each k-subset's difference word then appears exactly once
-    as a cyclic window. Length C(n, k). k = n collapses to the one-letter
-    alphabet and yields the single window 1^k.
+    Each k-subset's difference word appears exactly once as a cyclic window; the
+    word cell, display shift and length are ``ENCODINGS["subsets"]``. k = n
+    collapses to the one-letter alphabet and yields the single window 1^k.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k} n={n}")
-    params = ParamSet(n - k + 1, k, n - k)
-    base = _run_engine(params, engine)
-    return UCycle(
-        tuple(s + 1 for s in base.symbols),
-        params,
-        base.engine,
-        scheme=SCHEME_SUBSET_DIFF,
-        scheme_params=(n, k),
-    )
+    return _ucycle("subsets", n, k, engine)
 
 
-def _multiset_guard(n: int, k: int, allow_degenerate: bool) -> None:
-    if n >= 2 and k >= 2:
-        return
-    if not allow_degenerate:
-        raise ValueError(
-            f"multiset cycles assume n, k >= 2 (got n={n}, k={k});"
-            " pass allow_degenerate=True to accept collapsed cells"
-        )
-    if n < 1 or k < 1:
-        raise ValueError(f"need n, k >= 1, got n={n} k={k}")
+def ucycle_multisets_freq(n: int, k: int, engine: str = "grandmama") -> UCycle:
+    """Universal cycle for k-multisets of {1..n} in shorthand frequency form
+    (``ENCODINGS["multisets-freq"]``)."""
+    return _ucycle("multisets-freq", n, k, engine)
 
 
-def ucycle_multisets_freq(
-    n: int, k: int, engine: str = "grandmama", allow_degenerate: bool = False
-) -> UCycle:
-    """Universal cycle for k-multisets of {1..n} in shorthand frequency form.
-
-    Word cell: (k+1, n-1, k). Length C(n+k-1, k).
-    """
-    _multiset_guard(n, k, allow_degenerate)
-    if n < 2:
-        raise ValueError("frequency windows have length n-1, so n >= 2 is required")
-    params = ParamSet(k + 1, n - 1, k)
-    base = _run_engine(params, engine)
-    return UCycle(
-        base.symbols, params, base.engine, scheme=SCHEME_MULTISET_FREQ, scheme_params=(n, k)
-    )
-
-
-def ucycle_multisets_diff(
-    n: int, k: int, engine: str = "grandmama", allow_degenerate: bool = False
-) -> UCycle:
-    """Universal cycle for k-multisets of {1..n} in difference form.
-
-    Word cell: (n, k, n-1). Length C(n+k-1, k).
-    """
-    _multiset_guard(n, k, allow_degenerate)
-    params = ParamSet(n, k, n - 1)
-    base = _run_engine(params, engine)
-    return UCycle(
-        base.symbols, params, base.engine, scheme=SCHEME_MULTISET_DIFF, scheme_params=(n, k)
-    )
+def ucycle_multisets_diff(n: int, k: int, engine: str = "grandmama") -> UCycle:
+    """Universal cycle for k-multisets of {1..n} in difference form
+    (``ENCODINGS["multisets-diff"]``)."""
+    return _ucycle("multisets-diff", n, k, engine)
 
 
 def decode_window(cycle: UCycle, position: int):
@@ -251,14 +301,10 @@ def decode_window(cycle: UCycle, position: int):
     win = cycle.window(position)
     if cycle.scheme is None:
         return Word(win, cycle.t)
-    n, k = cycle.scheme_params
-    if cycle.scheme == SCHEME_SUBSET_DIFF:
-        return diff_to_subset(win, n)
-    if cycle.scheme == SCHEME_MULTISET_FREQ:
-        return freq_to_multiset(win, k)
-    if cycle.scheme == SCHEME_MULTISET_DIFF:
-        return diff_to_multiset(win, n)
-    raise ValueError(f"unknown scheme {cycle.scheme!r}")
+    enc = _BY_SCHEME.get(cycle.scheme)
+    if enc is None:
+        raise ValueError(f"unknown scheme {cycle.scheme!r}")
+    return enc.decode(win, *cycle.scheme_params)
 
 
 def fixed_weight_expand(cycle: UCycle) -> list[tuple[int, ...]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from bwcycles.words import ParamSet, Word, _period_count, _render, _symbols
 
@@ -185,25 +185,14 @@ def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Ite
             stats.add(symbols=symbols, tests=tests, comparisons=iters)
 
 
-def generate_concat(
-    params: ParamSet,
-    sink: Callable[[list[int]], None] | None = None,
-    stats: GenStats | None = None,
-) -> UCycle | None:
+def generate_concat(params: ParamSet, stats: GenStats | None = None) -> UCycle:
     """Build the whole universal cycle for one (t, n, w) cell.
 
-    With no sink the sequence is materialized and returned as a UCycle. With a
-    sink, chunks are handed over as they are produced, nothing is retained, and
-    None is returned; use that form for very long outputs.
+    The materialized form of ``iter_concat_prefixes``, which streams the same
+    symbols in O(n * t) memory; use that for very long outputs.
     """
-    if sink is not None:
-        for chunk in iter_concat_prefixes(params, stats):
-            sink(chunk)
-        return None
-    out: list[int] = []
-    for chunk in iter_concat_prefixes(params, stats):
-        out.extend(chunk)
-    return UCycle(tuple(out), params, "grandmama-concat")
+    chunks = iter_concat_prefixes(params, stats)
+    return UCycle(tuple(chain.from_iterable(chunks)), params, "grandmama-concat")
 
 
 def _validate_window(params: ParamSet, window) -> tuple[int, ...]:

@@ -27,7 +27,8 @@ from bwcycles.cyclejoin import (
     check_periodic_leaves,
     generic_successor,
 )
-from bwcycles.grandmama import GenStats, generate_by_successor, generate_concat
+from bwcycles.grandmama import (GenStats, generate_by_successor, generate_concat,
+                                iter_concat_prefixes)
 from bwcycles.msr import check_conjecture, generate_msr, generate_reverse_colex, successor_h2
 from bwcycles.oracle import verify_universal_cycle
 from bwcycles.words import ParamSet
@@ -220,12 +221,9 @@ def test_c7_amortized_cost(sweep, capsys):
     params = ParamSet(4, 12, 19)
     produced = 0
 
-    def sink(chunk):
-        nonlocal produced
-        produced += len(chunk)
-
     start = time.perf_counter()
-    generate_concat(params, sink=sink)
+    for chunk in iter_concat_prefixes(params):
+        produced += len(chunk)
     elapsed = time.perf_counter() - start
 
     big_enough = produced == params.universe_size and produced >= 10**7

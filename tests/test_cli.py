@@ -7,7 +7,12 @@ from pathlib import Path
 
 from bwcycles import cli, grandmama
 from bwcycles.cli import main
-from bwcycles.combmaps import ucycle_multisets_diff, ucycle_multisets_freq, ucycle_subsets
+from bwcycles.combmaps import (
+    decode_window,
+    ucycle_multisets_diff,
+    ucycle_multisets_freq,
+    ucycle_subsets,
+)
 from bwcycles.grandmama import (
     GenStats,
     UCycle,
@@ -340,6 +345,31 @@ def test_generate_matches_naive_rendering_past_two_batches(capsys):
     limit = cli.RENDER_BATCH + 1
     code, out, _ = run(capsys, *flags, "--seed-window", seed, "--limit", str(limit))
     assert code == 0 and out == _naive_render(seeded, "delimited", limit)
+
+
+def test_decode_matches_library_at_every_position(capsys, monkeypatch):
+    # small successor chunks, so windows straddle chunk boundaries
+    monkeypatch.setattr(grandmama, "SUCCESSOR_CHUNK", 5)
+    # (4, 4): a one-symbol cycle, shorter than its window
+    subsets_4_4 = (("--subsets", "4", "4"), lambda engine: ucycle_subsets(4, 4, engine), 1)
+    for flags, make, shift in [*RENDER_KINDS, subsets_4_4]:
+        concat = make("grandmama")
+        seed, seeded = _seeded(concat, 3 % len(concat), shift)
+        engines = [(("grandmama",), concat), (("grandmama", "--seed-window", seed), seeded),
+                   (("msr",), make("msr")), (("reverse-colex",), make("reverse-colex"))]
+        for engine, cycle in engines:
+            argv = ["decode", *flags, "--engine", *engine, "--position"]
+            for position in range(len(cycle)):
+                obj = decode_window(cycle, position)
+                payload = (obj.to_dict() if cycle.scheme else
+                           {"kind": "word", "t": obj.t, "symbols": list(obj.symbols)})
+                code, out, err = run(capsys, *argv, str(position))
+                assert (code, out, err) == (0, json.dumps(payload) + "\n", ""), (argv, position)
+            last = len(cycle) - 1
+            for position in (-1, len(cycle)):
+                code, out, err = run(capsys, *argv, str(position))
+                expected = f"error: position {position} outside 0..{last}\n"
+                assert (code, out, err) == (2, "", expected), (argv, position)
 
 
 def test_generate_into_closed_pipe_exits_quietly():

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bwcycles.combmaps import (
+    ENCODINGS,
     CombObject,
     SCHEME_MULTISET_DIFF,
     SCHEME_MULTISET_FREQ,
     decode_window,
     diff_to_multiset,
     diff_to_subset,
+    engine_chunks,
     fixed_weight_expand,
     freq_to_multiset,
     multiset_to_diff,
@@ -165,6 +167,8 @@ def test_ucycle_subsets_bad_args():
         ucycle_subsets(3, 0)
     with pytest.raises(ValueError):
         ucycle_subsets(6, 3, engine="colex")
+    with pytest.raises(ValueError, match="no start window"):
+        engine_chunks(ParamSet(3, 2, 2), "reverse-colex", start=(0, 0))
 
 
 # --- multiset universal cycles -------------------------------------------
@@ -203,14 +207,32 @@ def test_ucycle_multisets_guard():
         ucycle_multisets_freq(3, 1)
     with pytest.raises(ValueError):
         ucycle_multisets_diff(1, 3)
-    # k = 1 is fine once degenerate cells are opted into
-    cyc = ucycle_multisets_freq(3, 1, allow_degenerate=True)
-    assert {decode_window(cyc, i).elements for i in range(len(cyc))} == {(1,), (2,), (3,)}
-    one = ucycle_multisets_diff(1, 3, allow_degenerate=True)
-    assert decode_window(one, 0).elements == (1, 1, 1)
     # frequency words have length n-1, so n = 1 can never work
     with pytest.raises(ValueError):
-        ucycle_multisets_freq(1, 3, allow_degenerate=True)
+        ucycle_multisets_freq(1, 3)
+    # the library refuses with the CLI's message
+    with pytest.raises(ValueError, match=r"^multiset cycles assume n, k >= 2, got n=3 k=1$"):
+        ucycle_multisets_freq(3, 1)
+
+
+def test_encoding_table_matches_oracle():
+    for kind, enc in ENCODINGS.items():
+        accepted = 0
+        for n in range(-1, 9):
+            for k in range(-1, 9):
+                if not enc.accepts(n, k):
+                    with pytest.raises(ValueError, match=f"got n={n} k={k}$"):
+                        enc.params(n, k)
+                    continue
+                accepted += 1
+                universe = enumerate_universe(enc.universe, n=n, k=k)
+                cell = enc.params(n, k)
+                assert enc.length(n, k) == len(universe) == cell.universe_size, (kind, n, k)
+                # the shifted cell universe is the oracle's universe, word for word
+                words = enumerate_universe("bounded_words", t=cell.t, n=cell.n, w=cell.w_eff)
+                shifted = {tuple(s + enc.shift for s in word) for word in words}
+                assert shifted == set(universe), (kind, n, k)
+        assert accepted >= 28, kind
 
 
 def test_decode_window_examples():

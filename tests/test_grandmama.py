@@ -81,13 +81,6 @@ def test_concat_weight_clamping_reported():
     assert clamped.params.clamped
 
 
-def test_concat_sink_streams_without_return():
-    got = []
-    out = generate_concat(ParamSet(5, 3, 4), sink=got.extend)
-    assert out is None
-    assert "".join(str(s) for s in got) == GOLDEN[(5, 3, 4)]
-
-
 def test_successor_h1_examples():
     p = ParamSet(5, 3, 4)
     assert successor_h1(p, (0, 0, 0)) == 1
