@@ -2,8 +2,10 @@
 
 Generation streams the engine's chunks straight to stdout, rendered and
 written a batch at a time, so memory stays O(n + batch) however long the cycle;
-decode reads the same stream only up to the end of its window (the verify and
-conjecture modes buffer, and say so via their --max-universe / sweep caps).
+decode reads the same stream only up to the end of its window, and verify feeds
+it to the oracle, which keeps n-1 of its symbols. A whole cycle is held only by
+verify --sequence, verify --against fixed-weight and the reverse-colex engine;
+conjecture buffers too, within its sweep bound.
 Encoded kinds are read from ``combmaps.ENCODINGS`` and every engine starts
 through ``combmaps.engine_chunks``. A seed window is checked before anything
 is written, and --stats reports the same counters as the library run of the
@@ -30,7 +32,7 @@ from bwcycles.combmaps import ENCODINGS, ENGINES, Encoding, engine_chunks, fixed
 from bwcycles.cyclejoin import FeedbackKind, build_tree
 from bwcycles.grandmama import GenStats, UCycle
 from bwcycles.msr import check_conjecture
-from bwcycles.oracle import enumerate_universe, verify_listing, verify_universal_cycle
+from bwcycles.oracle import enumerate_universe, verify_listing, verify_stream
 from bwcycles.words import ParamSet, count_bounded_words
 
 __all__ = ["main"]
@@ -212,14 +214,6 @@ def cmd_generate(args) -> int:
 # --- decode / verify ------------------------------------------------------
 
 
-def _build_cycle(cell: _Cell, engine: str, seed: tuple[int, ...] | None) -> UCycle:
-    tag, chunks = engine_chunks(cell.params, engine, seed)
-    symbols = chain.from_iterable(chunks)
-    if cell.shift:
-        symbols = (s + cell.shift for s in symbols)
-    return UCycle(tuple(symbols), cell.params, tag, scheme=cell.scheme, scheme_params=cell.nk)
-
-
 def cmd_decode(args) -> int:
     cell = _resolve_cell(args)
     _, chunks = engine_chunks(cell.params, args.engine, _resolve_seed(args, cell))
@@ -258,20 +252,22 @@ def cmd_verify(args) -> int:
     if size > args.max_universe:
         raise CliError(f"universe has {size} elements, above the cap {args.max_universe}")
     if args.sequence is not None:
-        symbols = _parse_symbols(args.sequence)
-        cycle = UCycle(symbols, cell.params, "user", scheme=cell.scheme, scheme_params=cell.nk)
+        tag, chunks = "user", [_parse_symbols(args.sequence)]
     else:
-        cycle = _build_cycle(cell, args.engine, _resolve_seed(args, cell))
+        tag, chunks = engine_chunks(p, args.engine, _resolve_seed(args, cell))
+        if cell.shift:
+            chunks = ([s + cell.shift for s in chunk] for chunk in chunks)
 
     if against == "fixed-weight":
+        cycle = UCycle(tuple(chain.from_iterable(chunks)), p, tag)
         universe = enumerate_universe("fixed_weight_words", t=p.t, length=p.n + 1, weight=p.w_eff)
         report = verify_listing(fixed_weight_expand(cycle), universe, max_universe=args.max_universe)
+    elif cell.enc is None:
+        report = verify_stream(chunks, "bounded_words", t=p.t, n=p.n, w=p.w_eff,
+                               max_universe=args.max_universe)
     else:
-        if cell.enc is None:
-            universe = enumerate_universe("bounded_words", t=p.t, n=p.n, w=p.w_eff)
-        else:
-            universe = enumerate_universe(cell.enc.universe, n=cell.nk[0], k=cell.nk[1])
-        report = verify_universal_cycle(cycle, universe, max_universe=args.max_universe)
+        report = verify_stream(chunks, cell.enc.universe, n=cell.nk[0], k=cell.nk[1],
+                               max_universe=args.max_universe)
 
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.ok else 1

@@ -2,21 +2,41 @@
 
 This module is the independent referee for every generator in the package. It
 never calls the fast constructions or the codec layer; universes are enumerated
-from first principles (weight-pruned prefix extension, itertools combinations)
-and coverage is checked by slicing every window out of the cyclically extended
-cycle and counting. Keep it dumb.
+from first principles (a weight recursion, weight-pruned prefix extension,
+itertools combinations) and coverage is checked by counting every window.
+
+A window of n symbols from {0..t-1} is counted under its base-t code, which
+one rolling update per symbol keeps current, so the cycle is read as a stream
+of chunks and never held: only its first n-1 symbols are kept, to be read again
+for the windows that wrap around. Counts go into a bytearray with one byte per
+code, or into a dict when t**n is far above the universe size. A window holding
+a symbol outside the alphabet has no code and is counted under its word. Codes
+are turned back into words only for the report. Keep it dumb.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Sequence
+from itertools import chain, combinations, combinations_with_replacement, cycle, islice
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
-__all__ = ["VerifyReport", "verify_universal_cycle", "verify_listing", "enumerate_universe"]
+__all__ = ["VerifyReport", "verify_universal_cycle", "verify_stream", "verify_listing",
+           "enumerate_universe"]
 
 DETAIL_LIMIT = 20
+
+# symbols per counting pass: each pass makes one range check, and memory stays small
+BATCH = 1 << 16
+
+# Counts live in a bytearray (one byte per code, beside the universe's one byte
+# per code) unless t**n exceeds DENSE_RATIO times the universe size. A dict entry
+# with its int key costs about 85 bytes in each of the two dicts, so below that
+# ratio the arrays are no larger, and they are faster.
+DENSE_RATIO = 64
+
+_SEEN = bytes([0] + [1] * 255)  # translate table: any count -> 0 or 1
 
 
 @dataclass
@@ -47,30 +67,198 @@ class VerifyReport:
         }
 
 
-def _cycle_fields(cycle, window_len):
-    symbols = getattr(cycle, "symbols", None)
-    if symbols is None:
-        symbols = tuple(cycle)
+@dataclass
+class _Coded:
+    """A universe of length-n words as base-t codes."""
+
+    t: int
+    n: int
+    marks: bytes | bytearray | dict[int, int]  # 1 at each word's code
+    size: int  # words with a code
+    stray: set[tuple[int, ...]] = field(default_factory=set)  # words no window can code
+
+
+def _word(code: int, t: int, n: int) -> tuple[int, ...]:
+    digits = []
+    for _ in range(n):
+        code, s = divmod(code, t)
+        digits.append(s)
+    return tuple(reversed(digits))
+
+
+def _dense(t: int, n: int, size: int) -> bool:
+    return t ** n <= DENSE_RATIO * size
+
+
+def _coded(words: set[tuple[int, ...]], n: int, t: int | None = None) -> _Coded:
+    """Code a set of words; the alphabet is {0..max symbol} unless ``t`` is given.
+
+    Words of another length or with a negative symbol are kept aside as ``stray``.
+    """
+    fit, stray = words, set()
+    symbols = set(chain.from_iterable(words))
+    if min(symbols, default=0) < 0 or set(map(len, words)) - {n}:
+        stray = {w for w in words if len(w) != n or min(w, default=0) < 0}
+        fit = words - stray
+        symbols = set(chain.from_iterable(fit))
+    if t is None:
+        t = 1 + max(symbols, default=0)
+    place = [t ** i for i in reversed(range(n))]
+    codes = [sum(map(mul, w, place)) for w in fit]
+    if _dense(t, n, len(codes)):
+        marks = bytearray(t ** n)
+        for code in codes:
+            marks[code] = 1
     else:
-        symbols = tuple(symbols)
-    if window_len is None:
-        window_len = getattr(cycle, "n", None)
-    if window_len is None:
-        raise ValueError("window_len is required when the cycle carries no window length")
-    return symbols, window_len
+        marks = dict.fromkeys(codes, 1)
+    return _Coded(t, n, marks, len(codes), stray)
 
 
-def _report(seen: Counter, expected: set, window_len: int, total: int,
-            full_details: bool) -> VerifyReport:
-    # one lookup per distinct word; the universe is scanned only if words are missing
+def _weight_fold(t: int, n: int, w: int, one, zero, join):
+    """Fold over length-n words of weight <= w by their first symbol:
+    f(k, r) = join(f(k-1, r-a) for a in 0..t-1), f(0, r >= 0) = one, f(k, r < 0) = zero(k)."""
+    memo = {}
+
+    def fold(k, r):
+        key = (k, max(r, -1))
+        if key not in memo:
+            if r < 0:
+                memo[key] = zero(k)
+            elif k == 0:
+                memo[key] = one
+            else:
+                memo[key] = join(fold(k - 1, r - a) for a in range(t))
+        return memo[key]
+
+    return fold(n, w)
+
+
+def _bounded_marks(t: int, n: int, w: int) -> bytes:
+    """A byte per code of a length-n word over {0..t-1}: 1 where its weight is <= w.
+
+    The codes that start with symbol a form one block, the marks of the rest at w - a.
+    """
+    return _weight_fold(t, n, w, b"\x01", lambda k: bytes(t ** k), b"".join)
+
+
+def _bounded_codes(t: int, n: int, w: int) -> list[int]:
+    """Codes of the length-n words over {0..t-1} of weight <= w: the marks' sparse twin.
+
+    Prefixes are grouped by weight and extended a symbol at a time, never past w.
+    """
+    w = min(w, n * (t - 1))
+    level = [[0]] + [[] for _ in range(w)] if w >= 0 else []  # level[r]: prefixes of weight r
+    for _ in range(n):
+        grown = [[] for _ in level]
+        for r, codes in enumerate(level):
+            for a in range(min(t, w - r + 1)):
+                grown[r + a] += [c * t + a for c in codes]
+        level = grown
+    return list(chain.from_iterable(level))
+
+
+def _check_cap(size: int, max_universe: int) -> None:
+    if size > max_universe:
+        raise ValueError(f"universe has {size} elements, above the cap {max_universe}")
+
+
+def _named(kind: str, params: dict, max_universe: int) -> _Coded:
+    """The coded universe of an ``enumerate_universe`` kind, refused above the cap."""
+    if kind == "bounded_words":
+        t, n, w = params["t"], params["n"], params["w"]
+        size = _weight_fold(t, n, w, 1, lambda k: 0, sum)
+        _check_cap(size, max_universe)
+        if _dense(t, n, size):
+            return _Coded(t, n, _bounded_marks(t, n, w), size)
+        return _Coded(t, n, dict.fromkeys(_bounded_codes(t, n, w), 1), size)
+    words = set(enumerate_universe(kind, **params))
+    _check_cap(len(words), max_universe)
+    return _coded(words, _WORD_LENGTH[kind](params))
+
+
+def _batches(chunks: Iterable[Sequence[int]], warm: int) -> Iterator[list[int]]:
+    """The cycle's first ``warm`` symbols, the rest in batches of BATCH, then the
+    first ``warm`` symbols again, going round as often as a short cycle needs."""
+    symbols = chain.from_iterable(chunks)
+    head = list(islice(symbols, warm))
+    yield head
+    while batch := list(islice(symbols, BATCH)):
+        yield batch
+    yield list(islice(cycle(head), warm))
+
+
+def _tally(chunks: Iterable[Sequence[int]], t: int, n: int, counts):
+    """Count every cyclic window of the chunked cycle into ``counts`` by its code.
+
+    ``counts`` saturates at 2; ``extra`` holds each code's occurrences past the
+    second. Windows holding a symbol outside {0..t-1} go to ``foreign`` by word.
+    Returns (windows, extra, foreign).
+    """
+    modulus = t ** n
+    warm = max(n - 1, 0)
+    extra: defaultdict[int, int] = defaultdict(int)
+    foreign: Counter = Counter()
+    code = fed = 0
+    last_bad = -n  # position of the latest symbol outside the alphabet
+    prev: list[int] = []  # the last symbols before the batch, up to n-1 of them
+    for batch in _batches(chunks, warm):
+        if fed >= warm and fed - last_bad >= n and min(batch, default=0) >= 0 \
+                and max(batch, default=0) < t:
+            for s in batch:
+                code = (code * t + s) % modulus
+                m = counts[code]
+                if m < 2:
+                    counts[code] = m + 1
+                else:
+                    extra[code] += 1
+        else:
+            # warm-up, or windows near a foreign symbol: one test per symbol
+            seq = prev + batch
+            for i, s in enumerate(batch, fed):
+                code = (code * t + s) % modulus
+                if not 0 <= s < t:
+                    last_bad = i
+                if i < warm:
+                    continue
+                if i - last_bad < n:
+                    end = i - fed + len(prev) + 1
+                    foreign[tuple(seq[end - n:end])] += 1
+                else:
+                    m = counts[code]
+                    if m < 2:
+                        counts[code] = m + 1
+                    else:
+                        extra[code] += 1
+        fed += len(batch)
+        if warm:
+            prev = (prev + batch[-warm:])[-warm:]
+    if not fed:
+        raise ValueError("cannot verify an empty cycle")
+    return fed - warm, extra, foreign
+
+
+def _positions(buf: bytes | bytearray, value: int) -> Iterator[int]:
+    i = buf.find(value)
+    while i >= 0:
+        yield i
+        i = buf.find(value, i + 1)
+
+
+def _word_lists(seen: dict, expected: set) -> tuple[list, list, list]:
+    """(missing, duplicated, unexpected) of words counted in ``seen``, all sorted."""
     unexpected = sorted(w for w in seen if w not in expected)
+    # one lookup per distinct word; the universe is scanned only if words are missing
     if len(seen) - len(unexpected) == len(expected):
         missing = []
     else:
         missing = sorted(expected.difference(seen))
     duplicated = sorted((w, c) for w, c in seen.items() if c > 1)
-    ok = not missing and not duplicated and not unexpected and total == len(expected)
+    return missing, duplicated, unexpected
 
+
+def _report(missing: list, duplicated: list, unexpected: list, window_len: int, total: int,
+            expected_count: int, full_details: bool) -> VerifyReport:
+    ok = not missing and not duplicated and not unexpected and total == expected_count
     truncated = False
     if not full_details:
         if len(missing) > DETAIL_LIMIT or len(duplicated) > DETAIL_LIMIT or len(unexpected) > DETAIL_LIMIT:
@@ -83,13 +271,56 @@ def _report(seen: Counter, expected: set, window_len: int, total: int,
         ok=ok,
         window_len=window_len,
         cycle_len=total,
-        expected_count=len(expected),
+        expected_count=expected_count,
         window_count=total,
         missing=missing,
         duplicated=duplicated,
         unexpected=unexpected,
         truncated=truncated,
     )
+
+
+def _verify(chunks: Iterable[Sequence[int]], universe: _Coded, full_details: bool) -> VerifyReport:
+    """The one counting core: stream the chunks against a coded universe."""
+    t, n, marks = universe.t, universe.n, universe.marks
+    dense = not isinstance(marks, dict)
+    counts = bytearray(t ** n) if dense else defaultdict(int)
+    total, extra, foreign = _tally(chunks, t, n, counts)
+    expected_count = universe.size + len(universe.stray)
+    if counts == marks and not foreign and not universe.stray:
+        # every coded word seen once and nothing else: a universal cycle
+        return _report([], [], [], n, total, expected_count, full_details)
+
+    if dense:
+        # each array read as one big integer: a bitwise step per list, then C-level scans
+        seen = int.from_bytes(counts.translate(_SEEN), "big")
+        want = int.from_bytes(marks, "big")
+        both = seen & want
+        missing = _positions((want ^ both).to_bytes(t ** n, "big"), 1)
+        unexpected = _positions((seen ^ both).to_bytes(t ** n, "big"), 1)
+        duplicated = _positions(counts, 2)
+    else:
+        missing = sorted(c for c in marks if c not in counts)
+        unexpected = sorted(c for c in counts if c not in marks)
+        duplicated = sorted(c for c, m in counts.items() if m == 2)
+    # codes come in increasing order, which is the words' order; one past the
+    # detail limit is enough to merge with the foreign words and flag truncation
+    take = None if full_details else DETAIL_LIMIT + 1
+    lost, twice, stranger = _word_lists(foreign, universe.stray)
+    return _report(
+        sorted(chain((_word(c, t, n) for c in islice(missing, take)), lost)),
+        sorted(chain(((_word(c, t, n), 2 + extra.get(c, 0)) for c in islice(duplicated, take)),
+                     twice)),
+        sorted(chain((_word(c, t, n) for c in islice(unexpected, take)), stranger)),
+        n, total, expected_count, full_details)
+
+
+def _cycle_fields(cycle, window_len):
+    if window_len is None:
+        window_len = getattr(cycle, "n", None)
+    if window_len is None:
+        raise ValueError("window_len is required when the cycle carries no window length")
+    return getattr(cycle, "symbols", cycle), window_len
 
 
 def verify_universal_cycle(
@@ -113,16 +344,25 @@ def verify_universal_cycle(
     """
     symbols, n = _cycle_fields(cycle, window_len)
     expected = set(map(tuple, universe))
-    if len(expected) > max_universe:
-        raise ValueError(f"universe has {len(expected)} elements, above the cap {max_universe}")
-    length = len(symbols)
-    if length == 0:
-        raise ValueError("cannot verify an empty cycle")
+    _check_cap(len(expected), max_universe)
+    return _verify((symbols,), _coded(expected, n), full_details)
 
-    # repeat the cycle until the window starting at every index fits without wrapping
-    ring = symbols * -(-(length + n - 1) // length)
-    seen = Counter(map(ring.__getitem__, map(slice, range(length), range(n, length + n))))
-    return _report(seen, expected, n, length, full_details)
+
+def verify_stream(
+    chunks: Iterable[Sequence[int]],
+    kind: str,
+    *,
+    max_universe: int = 10**6,
+    full_details: bool = False,
+    **params,
+) -> VerifyReport:
+    """``verify_universal_cycle`` for a cycle read as chunks, against the universe
+    ``enumerate_universe(kind, **params)``, whose word length is the window length.
+
+    Only the first n-1 symbols of the cycle are held. The universe is refused
+    above ``max_universe`` before any chunk is read.
+    """
+    return _verify(chunks, _named(kind, params, max_universe), full_details)
 
 
 def verify_listing(
@@ -139,11 +379,11 @@ def verify_listing(
     compared against the universe as a multiset.
     """
     expected = set(map(tuple, universe))
-    if len(expected) > max_universe:
-        raise ValueError(f"universe has {len(expected)} elements, above the cap {max_universe}")
+    _check_cap(len(expected), max_universe)
     seen = Counter(map(tuple, words))
     window_len = len(next(iter(seen), next(iter(expected), ())))
-    return _report(seen, expected, window_len, sum(seen.values()), full_details)
+    return _report(*_word_lists(seen, expected), window_len, sum(seen.values()), len(expected),
+                   full_details)
 
 
 def _weight_bounded(t: int, n: int, w: int) -> list[tuple[int, ...]]:
@@ -154,6 +394,15 @@ def _weight_bounded(t: int, n: int, w: int) -> list[tuple[int, ...]]:
     for _ in range(n):
         level = [p + a for p in level for a in heads[min(t, w - sum(p) + 1)]]
     return level
+
+
+# the word length of each kind enumerated as tuples, from its parameters
+_WORD_LENGTH = {
+    "fixed_weight_words": lambda p: p["length"],
+    "subset_diff": lambda p: p["k"],
+    "multiset_freq": lambda p: p["n"] - 1,
+    "multiset_diff": lambda p: p["k"],
+}
 
 
 def enumerate_universe(kind: str, **params) -> list[tuple[int, ...]]:

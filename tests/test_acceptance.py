@@ -30,7 +30,7 @@ from bwcycles.cyclejoin import (
 from bwcycles.grandmama import (GenStats, generate_by_successor, generate_concat,
                                 iter_concat_prefixes)
 from bwcycles.msr import check_conjecture, generate_msr, generate_reverse_colex, successor_h2
-from bwcycles.oracle import verify_universal_cycle
+from bwcycles.oracle import verify_stream, verify_universal_cycle
 from bwcycles.words import ParamSet
 
 # every (t, n) pair with t^n <= 10^6, all weight bounds up to the saturation point
@@ -226,13 +226,22 @@ def test_c7_amortized_cost(sweep, capsys):
         produced += len(chunk)
     elapsed = time.perf_counter() - start
 
+    # the oracle checks the whole cycle, streamed from a second engine run
+    start = time.perf_counter()
+    checked = verify_stream(iter_concat_prefixes(params), "bounded_words", t=params.t, n=params.n,
+                            w=params.w_eff, max_universe=params.universe_size)
+    verify_s = time.perf_counter() - start
+    verified = checked.ok and checked.window_count == params.universe_size
+
     big_enough = produced == params.universe_size and produced >= 10**7
-    ok = not over and big_enough and elapsed < 60.0
+    ok = not over and big_enough and elapsed < 60.0 and verified
     soft = "" if elapsed < 10.0 else ", above the 10 s soft bound"
-    report(capsys, 7, "amortized-cost", ok, f" ({produced} symbols in {elapsed:.2f} s{soft})")
+    report(capsys, 7, "amortized-cost", ok,
+           f" ({produced} symbols in {elapsed:.2f} s{soft}; verified in {verify_s:.2f} s)")
     assert not over, f"comparison budget exceeded at {over[:5]}"
     assert big_enough
     assert elapsed < 60.0
+    assert verified, checked.to_dict()
 
 
 def test_c8_tree_chain_and_leaves(sweep, capsys):

@@ -190,12 +190,47 @@ def test_verify_sparse_cell_enumerates_only_its_universe(capsys):
     assert code == 0 and report["ok"] is True and report["window_count"] == 165
 
 
+def test_verify_report_exact_past_saturation(capsys):
+    # the oracle's per-word counters saturate, the reported counts do not
+    for zeros in (8, 300):
+        code, out, _ = run(capsys, "verify", "--t", "2", "--n", "3", "--w", "3",
+                           "--sequence", "0" * zeros)
+        report = json.loads(out)
+        assert code == 1 and report["duplicated"] == [{"word": [0, 0, 0], "count": zeros}]
+        assert report["window_count"] == zeros and len(report["missing"]) == 7
+
+
+def test_verify_lists_windows_with_foreign_symbols(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "--t", "2", "--n", "3", "--w", "3",
+                       "--sequence", "0,1,-1")
+    assert code == 1 and json.loads(out)["unexpected"] == [[-1, 0, 1], [0, 1, -1], [1, -1, 0]]
+
+    # an engine that emits t, which as a base-t digit would carry into a valid code;
+    # (3, 3, 4) is counted in a byte array and (10, 3, 2) in a dict
+    real = cli.engine_chunks
+
+    def buggy(params, engine, start=None, steps=None, stats=None):
+        tag, chunks = real(params, engine, start, steps, stats)
+        symbols = list(chain.from_iterable(chunks))
+        symbols[5] = params.t
+        return tag, iter([symbols[:4], [], symbols[4:]])
+
+    monkeypatch.setattr(cli, "engine_chunks", buggy)
+    for t, w in ((3, 4), (10, 2)):
+        symbols = list(generate_concat(ParamSet(t, 3, w)).symbols)
+        symbols[5] = t
+        code, out, _ = run(capsys, "verify", "--t", str(t), "--n", "3", "--w", str(w))
+        report = json.loads(out)
+        assert code == 1 and report["window_count"] == len(symbols)
+        assert report["unexpected"] == sorted(symbols[i:i + 3] for i in (3, 4, 5))
+
+
 def test_verify_cap_refused_before_any_work(capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran past the cap")
 
-    monkeypatch.setattr(cli, "_build_cycle", must_not_run)
-    monkeypatch.setattr(cli, "enumerate_universe", must_not_run)
+    for name in ("engine_chunks", "enumerate_universe", "verify_stream", "verify_listing"):
+        monkeypatch.setattr(cli, name, must_not_run)
     for argv, size in [(["--t", "4", "--n", "11", "--w", "16"], 2097152),
                        (["--subsets", "20", "10"], 184756),
                        (["--multisets-freq", "12", "9"], 167960),

@@ -2,14 +2,17 @@ import json
 import math
 from collections import Counter
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bwcycles import oracle
 from bwcycles.grandmama import UCycle, generate_concat
 from bwcycles.msr import generate_msr
-from bwcycles.oracle import VerifyReport, enumerate_universe, verify_listing, verify_universal_cycle
+from bwcycles.oracle import (VerifyReport, enumerate_universe, verify_listing, verify_stream,
+                             verify_universal_cycle)
 from bwcycles.words import ParamSet
 
 
@@ -234,10 +237,18 @@ def test_weight_pruned_enumeration_matches_product_scan():
         for n in range(0, 7):
             words = list(product(range(t), repeat=n))
             for w in range(-1, n * (t - 1) + 2):
-                assert enumerate_universe("bounded_words", t=t, n=n, w=w) == [
-                    x for x in words if sum(x) <= w], (t, n, w)
+                bounded = enumerate_universe("bounded_words", t=t, n=n, w=w)
+                assert bounded == [x for x in words if sum(x) <= w], (t, n, w)
                 assert enumerate_universe("fixed_weight_words", t=t, length=n, weight=w) == [
                     x for x in words if sum(x) == w], (t, n, w)
+                # the recursive mark array, the code list and the size agree with the tuples
+                codes = {sum(s * t ** (n - 1 - i) for i, s in enumerate(x)) for x in bounded}
+                marks = oracle._bounded_marks(t, n, w)
+                assert len(marks) == t ** n and set(marks) <= {0, 1}, (t, n, w)
+                assert {c for c, m in enumerate(marks) if m} == codes, (t, n, w)
+                listed = oracle._bounded_codes(t, n, w)
+                assert len(listed) == len(bounded) and set(listed) == codes, (t, n, w)
+                assert oracle._weight_fold(t, n, w, 1, lambda k: 0, sum) == len(bounded)
 
 
 @pytest.mark.slow
@@ -251,3 +262,70 @@ def test_engine_cycles_verify_on_a_wide_grid():
                 for cycle in cycles:
                     report = verify_universal_cycle(cycle, universe)
                     assert report.ok and report.window_count == len(universe), (t, n, w)
+
+
+# --- the streaming core against the same reference, fed in random chunks ---
+
+
+@st.composite
+def _chunked_case(draw, dense):
+    """A cell whose t**n / |universe| ratio selects the wanted container, a cycle
+    in random chunks, and either the cell's universe by name or a listed one that
+    may be wrong.
+
+    Cycles are engine cycles with a few symbols overwritten, possibly by symbols
+    outside the alphabet (negative ones included), or random words that may be
+    empty or shorter than the window. Chunks may be empty or shorter than n-1.
+    """
+    if dense:
+        t, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        w = draw(st.integers(n * (t - 1) // 2, n * (t - 1)))
+    else:
+        t, n = draw(st.integers(5, 10)), draw(st.integers(2, 3))
+        w = draw(st.integers(0, 2))
+    size = len(_product_universe(t, n, w))
+    assume(oracle._dense(t, n, size) == dense)
+    foreign = st.integers(-2, t + 1)
+    shape = draw(st.sampled_from(["engine", "random", "short"]))
+    if shape == "engine":
+        symbols = list(generate_concat(ParamSet(t, n, w)).symbols)
+        for _ in range(draw(st.integers(0, 3))):
+            symbols[draw(st.integers(0, len(symbols) - 1))] = draw(foreign)
+    else:
+        top = 3 * n + 40 if shape == "random" else n - 1
+        symbols = draw(st.lists(draw(st.sampled_from([st.integers(0, t - 1), foreign])),
+                                max_size=top))
+    cuts = sorted(draw(st.lists(st.integers(0, len(symbols)), max_size=12)))
+    chunks = [symbols[a:b] for a, b in zip([0, *cuts], [*cuts, len(symbols)])]
+    if draw(st.booleans()):
+        universe = None  # the cell's own universe, by name
+    else:
+        universe = _product_universe(t, n, w)
+        if draw(st.booleans()):
+            universe = draw(st.lists(st.sampled_from(universe), max_size=len(universe)))
+        if draw(st.booleans()):  # words of other lengths or outside the alphabet
+            universe = universe + draw(st.lists(
+                st.lists(foreign, min_size=n - 1, max_size=n + 1).map(tuple), max_size=3))
+    return (t, n, w), symbols, chunks, universe
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), full_details=st.booleans(), max_universe=CAPS,
+       batch=st.sampled_from([1, 2, 3, 7, oracle.BATCH]))
+def test_streaming_core_matches_reference(dense, data, full_details, max_universe, batch):
+    (t, n, w), symbols, chunks, universe = data.draw(_chunked_case(dense))
+    if universe is None:
+        universe = _product_universe(t, n, w)
+
+        def run():
+            return verify_stream(iter(chunks), "bounded_words", t=t, n=n, w=w,
+                                 max_universe=max_universe, full_details=full_details)
+    else:
+        def run():
+            coded = oracle._coded(set(universe), n)
+            oracle._check_cap(coded.size + len(coded.stray), max_universe)
+            return oracle._verify(iter(chunks), coded, full_details)
+    with mock.patch.object(oracle, "BATCH", batch):
+        new = _outcome(run)
+    assert new == _outcome(_reference_verify, symbols, universe, n, max_universe, full_details)
