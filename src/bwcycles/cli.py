@@ -4,17 +4,12 @@ Generation streams the engine's chunks straight to stdout, rendered and
 written a batch at a time, so memory stays O(n + batch) however long the cycle;
 decode reads the same stream only up to the end of its window, and verify feeds
 it to the oracle, which keeps n-1 of its symbols. A whole cycle is held only by
-verify --sequence, verify --against fixed-weight and the reverse-colex engine;
-conjecture buffers too, within its sweep bound.
+verify --sequence and verify --against fixed-weight.
 Encoded kinds are read from ``combmaps.ENCODINGS`` and every engine starts
 through ``combmaps.engine_chunks``. A seed window is checked before anything
 is written, and --stats reports the same counters as the library run of the
 same cycle. Exit codes: 0 success, 1 verification failure, 2 usage or
 parameter error, and every error prints a single "error: ..." line on stderr.
-
-The reverse-colex engine is the one construction that cannot stream: it sorts
-the whole necklace list before emitting anything, so its output is buffered no
-matter the format.
 """
 
 from __future__ import annotations
@@ -201,7 +196,7 @@ def cmd_generate(args) -> int:
     names = [str(s + cell.shift) for s in range(cell.params.t)]
     written = _emit_stream(chunks, args.format, names, meta, sys.stdout)
     if stats is not None:
-        # count what actually went out: the concat engine flushes its own
+        # count what actually went out: the concatenation walks flush their
         # symbol tally only on completion, so it lags when --limit cuts in.
         print(
             f"stats: symbols={written} necklace_tests={stats.necklace_tests}"

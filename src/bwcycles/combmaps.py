@@ -27,7 +27,7 @@ from math import comb
 from typing import Callable, Iterator, Sequence
 
 from bwcycles.grandmama import GenStats, UCycle, iter_concat_prefixes, iter_successor_chunks
-from bwcycles.msr import generate_reverse_colex, iter_msr_chunks
+from bwcycles.msr import iter_msr_chunks, iter_reverse_colex_prefixes
 from bwcycles.words import ParamSet, Word, _symbols
 
 __all__ = [
@@ -188,8 +188,8 @@ def engine_chunks(
     """Start one engine on one word cell: (engine tag, chunks of the cycle's symbols).
 
     Errors are raised here, not at the first chunk. A ``start`` window switches
-    grandmama to its successor rule and ``steps`` bounds successor calls; reverse
-    colex sorts every necklace first, so it builds its cycle here and takes neither.
+    grandmama to its successor rule and ``steps`` bounds successor calls; the
+    two concatenation walks take neither.
     """
     if engine == "grandmama":
         if start is None:
@@ -201,8 +201,7 @@ def engine_chunks(
         raise ValueError(f"unknown engine {engine!r}")
     if start is not None:
         raise ValueError("reverse-colex takes no start window")
-    cyc = generate_reverse_colex(params, stats)
-    return cyc.engine, iter((cyc.symbols,))
+    return "reverse-colex", iter_reverse_colex_prefixes(params, stats)
 
 
 @dataclass(frozen=True)

@@ -95,91 +95,90 @@ class UCycle:
 def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Iterator[list[int]]:
     """Yield the aperiodic prefix of every weight-bounded necklace, in colex order.
 
-    Concatenating the chunks gives the universal cycle. The walk keeps one
-    shared scratch word and an explicit stack, so memory stays O(n * t) no
-    matter how long the output is; chunks are fresh lists the caller may keep.
-
-    Children of a node are discovered by first probing the increment at the
-    node's change index, then scanning positions to its left; each child is
-    re-tested on entry to learn its period. All tests are tallied in ``stats``.
+    Concatenating the chunks gives the universal cycle. Memory stays O(n * t)
+    no matter how long the output is; chunks are fresh lists the caller may
+    keep. All necklace tests are tallied in ``stats``.
     """
-    t, n, w = params.t, params.n, params.w_eff
+    return _necklace_walk(params.t, params.n, params.w_eff, 0, 1, stats)
+
+
+def _necklace_walk(t, n, w, floor, step, stats):
+    """Walk the first-nonzero parent tree of length-n necklaces of weight at most w.
+
+    Yields, in pre-order, the aperiodic prefix of every node of weight >= ``floor``.
+    A node's children bump one position each, and are visited by increasing
+    position when ``step`` is 1 (colex order) or decreasing when it is -1. The
+    walk keeps one shared scratch word and an explicit stack.
+
+    Children are discovered by first probing the increment at the node's change
+    index, then scanning positions to its left; the root is the all-zero word,
+    with change index n-1. Each yielded child is re-tested on entry to learn its
+    period; the root's period is 1 and costs no test.
+    """
     a = [0] * n
     tmax = t - 1
     tests = 0
     iters = 0
-    symbols = 1
+    symbols = 0
     try:
-        yield [0]
+        if floor == 0:
+            yield [0]
+            symbols = 1
         if w == 0:
             return
-        # frame: [next_child_pos, change_index, has_increment_child, node_weight, entry_pos]
+        # one frame per node with children on the current path, the root included
+        # (with w >= 1 it has the child 0...01, so every leaf has a parent frame):
+        # [next_child_pos, stop_pos, node_weight, change_index]
         stack = []
-        fr = None
-
-        # children of the root: change index n-1, weight 0
-        c0 = n - 1
-        c_ok = False
-        if a[c0] < tmax:
-            a[c0] += 1
-            p, it = _period_count(a, n)
-            a[c0] -= 1
-            tests += 1
-            iters += it
-            c_ok = p > 0
-        j = c0 - 1
-        while j >= 0:
-            a[j] = 1
-            p, it = _period_count(a, n)
-            a[j] = 0
-            tests += 1
-            iters += it
-            if p == 0:
-                break
-            j -= 1
-        if j + 1 < c0 or c_ok:
-            stack.append([j + 1, c0, c_ok, 0, -1])
-
-        while stack:
-            fr = stack[-1]
+        i, wt = n - 1, 0
+        while True:
+            start = stop = i
+            if wt < w:
+                c_ok = False
+                if a[i] < tmax:
+                    a[i] += 1
+                    p, it = _period_count(a, n)
+                    a[i] -= 1
+                    tests += 1
+                    iters += it
+                    c_ok = p > 0
+                j = i - 1
+                while j >= 0:
+                    a[j] = 1
+                    p, it = _period_count(a, n)
+                    a[j] = 0
+                    tests += 1
+                    iters += it
+                    if p == 0:
+                        break
+                    j -= 1
+                # the children bump positions j+1 .. last
+                last = i if c_ok else i - 1
+                start, stop = (j + 1, last + 1) if step > 0 else (last, j)
+            if start != stop:
+                fr = [start, stop, wt, i]
+                stack.append(fr)
+            else:
+                a[i] -= 1
+                fr = stack[-1]
+                # climb out of every node whose children are done
+                while fr[0] == fr[1]:
+                    stack.pop()
+                    if not stack:
+                        return
+                    a[fr[3]] -= 1
+                    fr = stack[-1]
             i = fr[0]
-            if i < fr[1] or (i == fr[1] and fr[2]):
-                fr[0] += 1
-                # enter the child that bumps position i
-                a[i] += 1
-                w2 = fr[3] + 1
+            fr[0] = i + step
+            # enter the child that bumps position i
+            a[i] += 1
+            wt = fr[2] + 1
+            if wt >= floor:
                 p, it = _period_count(a, n)
                 tests += 1
                 iters += it
                 yield a[:p]
                 symbols += p
-                if w2 < w:
-                    c_ok = False
-                    if a[i] < tmax:
-                        a[i] += 1
-                        p, it = _period_count(a, n)
-                        a[i] -= 1
-                        tests += 1
-                        iters += it
-                        c_ok = p > 0
-                    j = i - 1
-                    while j >= 0:
-                        a[j] = 1
-                        p, it = _period_count(a, n)
-                        a[j] = 0
-                        tests += 1
-                        iters += it
-                        if p == 0:
-                            break
-                        j -= 1
-                    if j + 1 < i or c_ok:
-                        stack.append([j + 1, i, c_ok, w2, i])
-                        continue
-                a[i] -= 1
-            else:
-                stack.pop()
-                if fr[4] >= 0:
-                    a[fr[4]] -= 1
     finally:
         if stats is not None:
             stats.add(symbols=symbols, tests=tests, comparisons=iters)

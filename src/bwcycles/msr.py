@@ -8,26 +8,28 @@ tree gives a universal cycle for the same weight-bounded universe as the
 colex-concatenation engine, but traversed in a different order.
 
 ``successor_h2`` is the O(n)-per-symbol rule (at most one necklace test per
-call); ``generate_reverse_colex`` builds the concatenation of aperiodic
-prefixes of the weight-w necklaces in reverse colex order, and
-``check_conjecture`` compares the two outputs symbol by symbol. Their equality
-is an observation, not a contract: nothing in this package relies on it.
+call); ``iter_reverse_colex_prefixes`` streams the concatenation of aperiodic
+prefixes of the weight-w necklaces in reverse colex order, through the same
+necklace walk as the colex concatenation, and ``check_conjecture`` compares
+the two streams symbol by symbol. Their equality is an observation, not a
+contract: nothing in this package relies on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Iterator, Sequence
 
-from bwcycles.grandmama import (GenStats, UCycle, _successor_core, _validate_window,
-                                iter_successor_chunks)
-from bwcycles.words import ParamSet, Word, _period_count, words_iter
+from bwcycles.grandmama import (GenStats, UCycle, _necklace_walk, _successor_core,
+                                _validate_window, iter_successor_chunks)
+from bwcycles.words import ParamSet, Word
 
 __all__ = [
     "successor_h2",
     "iter_msr_chunks",
     "generate_msr",
+    "iter_reverse_colex_prefixes",
     "generate_reverse_colex",
     "ConjectureReport",
     "check_conjecture",
@@ -90,31 +92,31 @@ def generate_msr(
     return UCycle(tuple(chain.from_iterable(chunks)), params, "msr")
 
 
+def iter_reverse_colex_prefixes(
+    params: ParamSet, stats: GenStats | None = None
+) -> Iterator[list[int]]:
+    """Yield the aperiodic prefix of every length-(n+1), weight-w necklace, in
+    reverse colex order (needs w < t).
+
+    This is the colex necklace walk on length n+1 and weights up to w, with
+    each node's children visited in reverse. The weight-w necklaces are exactly
+    the walk's leaves, so they come out in reverse colex order, in O(n * t)
+    memory.
+    """
+    t, n, w = _require_small_weight(params)
+    return _necklace_walk(t, n + 1, w, w, -1, stats)
+
+
 def generate_reverse_colex(params: ParamSet, stats: GenStats | None = None) -> UCycle:
     """Concatenate aperiodic prefixes of weight-w necklaces of length n+1 in
     reverse colex order.
 
-    Built by brute-force enumeration, so this engine is for desk-scale cells;
-    it exists to be compared against ``generate_msr``, which conjecturally
-    produces the same sequence.
+    The materialised form of ``iter_reverse_colex_prefixes``. It exists to be
+    compared against ``generate_msr``, which conjecturally produces the same
+    sequence.
     """
-    t, n, w = _require_small_weight(params)
-    if t ** (n + 1) > 20_000_000:
-        raise ValueError(f"refusing to scan {t}^{n + 1} words for the reverse-colex engine")
-    necklaces = []
-    for word in words_iter(t, n + 1, None):
-        if sum(word) != w:
-            continue
-        p, _ = _period_count(word, n + 1)
-        if p:
-            necklaces.append((word, p))
-    necklaces.sort(key=lambda item: item[0][::-1], reverse=True)
-    out: list[int] = []
-    for word, p in necklaces:
-        out.extend(word[:p])
-    if stats is not None:
-        stats.add(symbols=len(out))
-    return UCycle(tuple(out), params, "reverse-colex")
+    chunks = iter_reverse_colex_prefixes(params, stats)
+    return UCycle(tuple(chain.from_iterable(chunks)), params, "reverse-colex")
 
 
 @dataclass(frozen=True)
@@ -149,35 +151,37 @@ class ConjectureReport:
 
 
 def check_conjecture(params: ParamSet) -> ConjectureReport:
-    """Compare generate_msr and generate_reverse_colex symbol by symbol.
+    """Compare the msr and reverse-colex streams symbol by symbol, in O(n) memory.
 
     Both sequences are anchored at the all-zero window (the reverse-colex
     concatenation starts with the 0...0w necklace, so its first n symbols are
     zeros). Divergence is reported, not raised: the equality is an open
     observation and downstream code must keep working if a counterexample
-    ever shows up.
+    ever shows up. The shorter stream reads as -1 past its end.
     """
     t, n, w = _require_small_weight(params)
-    a = generate_msr(params).symbols
-    b = generate_reverse_colex(params).symbols
+    lengths = [0, 0]
+
+    def counted(chunks, k):
+        for chunk in chunks:
+            lengths[k] += len(chunk)
+            yield from chunk
+
+    a = counted(iter_msr_chunks(params), 0)
+    b = counted(iter_reverse_colex_prefixes(params), 1)
     divergence = None
-    for i, (x, y) in enumerate(zip(a, b)):
+    for i, (x, y) in enumerate(zip_longest(a, b, fillvalue=-1)):
         if x != y:
             divergence = (i, x, y)
             break
-    if divergence is None and len(a) != len(b):
-        shorter = min(len(a), len(b))
-        divergence = (
-            shorter,
-            a[shorter] if len(a) > shorter else -1,
-            b[shorter] if len(b) > shorter else -1,
-        )
+    for _ in chain(a, b):
+        pass
     return ConjectureReport(
         t=t,
         n=n,
         w=w,
         holds=divergence is None,
-        length_msr=len(a),
-        length_reverse_colex=len(b),
+        length_msr=lengths[0],
+        length_reverse_colex=lengths[1],
         first_divergence=divergence,
     )

@@ -20,7 +20,7 @@ from bwcycles.grandmama import (
     generate_concat,
     iter_concat_prefixes,
 )
-from bwcycles.msr import generate_msr, generate_reverse_colex
+from bwcycles.msr import generate_msr, generate_reverse_colex, iter_reverse_colex_prefixes
 from bwcycles.words import ParamSet
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -279,6 +279,9 @@ def test_conjecture_single_and_sweep(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "conjecture", "--t", "3", "--n", "2", "--w", "3")
     assert code == 2  # w >= t has no register cycle
+    # 8^9 words of length n+1: the reverse-colex side streams instead of scanning them
+    code, out, err = run(capsys, "conjecture", "--t", "8", "--n", "8", "--w", "7")
+    assert (code, out, err) == (0, "t=8 n=8 w=7 equal length=6435\n", "")
 
 
 def test_generate_stats_on_stderr(capsys):
@@ -294,14 +297,25 @@ def test_generate_stats_on_stderr(capsys):
     assert code == 0 and out.strip() == "00010"
     assert err.startswith("stats: symbols=5 ")
 
-    # a full successor run counts exactly what the library does for the same cycle
+    # a successor or reverse-colex run counts exactly what the library does for the
+    # same cycle; a cut concatenation walk stops after the chunk that reaches the limit
     p = ParamSet(5, 3, 4)
+
+    def reverse_colex_head(stats, limit):
+        chunks = iter_reverse_colex_prefixes(p, stats)
+        head = tuple(chain.from_iterable(cli._take(chunks, limit)))
+        chunks.close()
+        return UCycle(head, p, "reverse-colex")
+
     for flags, build in [
         (("--engine", "msr"), lambda stats: generate_msr(p, stats=stats)),
         (("--seed-window", "0,0,4"),
          lambda stats: generate_by_successor(p, start=(0, 0, 4), stats=stats)),
         (("--seed-window", "0,0,4", "--limit", "10"),
          lambda stats: generate_by_successor(p, start=(0, 0, 4), steps=10 - p.n, stats=stats)),
+        (("--engine", "reverse-colex"), lambda stats: generate_reverse_colex(p, stats=stats)),
+        (("--engine", "reverse-colex", "--limit", "10"),
+         lambda stats: reverse_colex_head(stats, 10)),
     ]:
         stats = GenStats()
         cycle = build(stats)

@@ -81,6 +81,16 @@ def test_concat_weight_clamping_reported():
     assert clamped.params.clamped
 
 
+def test_concat_stats_pinned():
+    # (necklace_tests, comparisons, symbols) of the colex walk; perfbench's
+    # tests-per-symbol drift check reads these counts
+    for (t, n, w), expected in [((4, 6, 9), (1130, 4827, 2338)), ((5, 3, 4), (30, 56, 35))]:
+        stats = GenStats()
+        chunks = list(iter_concat_prefixes(ParamSet(t, n, w), stats))
+        assert sum(map(len, chunks)) == expected[2], (t, n, w)
+        assert (stats.necklace_tests, stats.comparisons, stats.symbols) == expected, (t, n, w)
+
+
 def test_successor_h1_examples():
     p = ParamSet(5, 3, 4)
     assert successor_h1(p, (0, 0, 0)) == 1

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bwcycles import msr
 from bwcycles.grandmama import GenStats
 from bwcycles.msr import (
     check_conjecture,
@@ -10,7 +11,7 @@ from bwcycles.msr import (
     successor_h2,
 )
 from bwcycles.oracle import enumerate_universe, verify_universal_cycle
-from bwcycles.words import ParamSet, Word
+from bwcycles.words import ParamSet, Word, words_iter
 
 
 GOLDEN = {
@@ -33,6 +34,48 @@ def test_reverse_colex_goldens():
         got = generate_reverse_colex(ParamSet(t, n, w))
         assert str(got) == expected, (t, n, w)
     assert str(generate_reverse_colex(ParamSet(3, 1, 2))) == "021"
+
+
+def _reference_reverse_colex(t, n, w):
+    """Brute force: every length-(n+1) word of weight w that is its least
+    rotation, sorted into reverse colex order, each cut to its smallest period."""
+    necklaces = []
+    for word in words_iter(t, n + 1, None):
+        if sum(word) != w:
+            continue
+        rotations = [word[i:] + word[:i] for i in range(1, n + 2)]
+        if word == min(rotations):
+            necklaces.append((word, rotations.index(word) + 1))
+    necklaces.sort(key=lambda item: item[0][::-1], reverse=True)
+    out = []
+    for word, p in necklaces:
+        out.extend(word[:p])
+    return tuple(out)
+
+
+# every cell with w < t, t <= 8, n <= 6 and t^(n+1) <= 10^6
+DIFFERENTIAL_GRID = [
+    (t, n, w)
+    for t in range(1, 9)
+    for n in range(1, 7)
+    if t ** (n + 1) <= 10**6
+    for w in range(t)
+]
+
+
+@pytest.mark.slow
+def test_reverse_colex_matches_reference():
+    for t, n, w in DIFFERENTIAL_GRID:
+        assert generate_reverse_colex(ParamSet(t, n, w)).symbols == _reference_reverse_colex(
+            t, n, w), (t, n, w)
+
+
+def test_reverse_colex_comparison_budget():
+    # the C5 budget: at most two symbol comparisons per loop, 16 per symbol
+    for t, n, w in DIFFERENTIAL_GRID:
+        stats = GenStats()
+        generate_reverse_colex(ParamSet(t, n, w), stats=stats)
+        assert 2 * stats.comparisons <= 16 * stats.symbols, (t, n, w, stats)
 
 
 def test_successor_h2_examples():
@@ -135,6 +178,43 @@ def test_check_conjecture_small():
         assert rep.length_msr == rep.length_reverse_colex
         d = rep.to_dict()
         assert d["holds"] is True and d["first_divergence"] is None
+
+
+def test_check_conjecture_reports_divergence(monkeypatch):
+    p = ParamSet(5, 3, 4)
+    expected = GOLDEN[(5, 3, 4)]
+    real = msr.iter_reverse_colex_prefixes
+
+    def one_symbol_changed(params, stats=None):
+        symbols = [s for chunk in real(params, stats) for s in chunk]
+        symbols[7] = (symbols[7] + 1) % params.t
+        # one symbol per chunk, so a report that stops reading at the divergence
+        # gets the length wrong
+        return iter([[s] for s in symbols])
+
+    monkeypatch.setattr(msr, "iter_reverse_colex_prefixes", one_symbol_changed)
+    rep = check_conjecture(p)
+    assert not rep.holds
+    assert rep.first_divergence == (7, int(expected[7]), (int(expected[7]) + 1) % 5)
+    assert (rep.length_msr, rep.length_reverse_colex) == (35, 35)
+
+    def tail_dropped(params, stats=None):
+        return iter([[s for chunk in real(params, stats) for s in chunk][:30]])
+
+    monkeypatch.setattr(msr, "iter_reverse_colex_prefixes", tail_dropped)
+    rep = check_conjecture(p)
+    assert rep.first_divergence == (30, int(expected[30]), -1)
+    assert (rep.length_msr, rep.length_reverse_colex) == (35, 30)
+    assert rep.to_dict()["first_divergence"] == {
+        "index": 30, "msr": int(expected[30]), "reverse_colex": -1}
+
+    def symbol_appended(params, stats=None):
+        return iter([[s for chunk in real(params, stats) for s in chunk], [2]])
+
+    monkeypatch.setattr(msr, "iter_reverse_colex_prefixes", symbol_appended)
+    rep = check_conjecture(p)
+    assert rep.first_divergence == (35, -1, 2)
+    assert (rep.length_msr, rep.length_reverse_colex) == (35, 36)
 
 
 def test_check_conjecture_report_shape_on_divergence():
