@@ -4,9 +4,11 @@ The concatenation engine walks the first-nonzero parent tree of necklaces
 iteratively (probe the change index, then scan left), visiting necklaces in
 colexicographic order and emitting each one's aperiodic prefix. The successor
 engine produces the identical cyclic sequence one symbol at a time from any
-starting window, paying O(n) per symbol and at most one necklace test. Its
-decision is shared with the missing-symbol rule of ``bwcycles.msr``: one core
-serves both, and only the lead symbol and the tested word differ.
+starting window, paying O(n) per symbol and at most one necklace test. One
+streaming loop makes that decision for it and for the missing-symbol rule of
+``bwcycles.msr``; only the lead symbol and the tested word differ. A single
+rule call is a one-step run of the loop, and ``exhaustive=True`` swaps in a
+small brute-force twin that tests every candidate from the top.
 
 Both are instrumented: ``GenStats`` counts emitted symbols, necklace tests, and
 inner-loop iterations of the necklace test (each iteration is at most two
@@ -15,6 +17,7 @@ symbol comparisons), which is how the constant-amortized-work claim is checked.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
@@ -198,10 +201,15 @@ def _validate_window(params: ParamSet, window) -> tuple[int, ...]:
     syms = _symbols(window)
     if len(syms) != params.n:
         raise ValueError(f"window length {len(syms)} != n = {params.n}")
+    if not all(isinstance(s, int) for s in syms):
+        raise ValueError(f"window {syms!r} has non-integer symbols")
     if any(s < 0 or s >= params.t for s in syms):
         raise ValueError(f"window {syms} has symbols outside 0..{params.t - 1}")
     if sum(syms) > params.w_eff:
         raise ValueError(f"window {syms} exceeds the weight ceiling {params.w_eff}")
+    if params.t > sys.maxunicode + 1:
+        # the successor loop holds its window as text, one code point per symbol
+        raise ValueError(f"successor rules need t <= {sys.maxunicode + 1}, got t={params.t}")
     return syms
 
 
@@ -221,76 +229,51 @@ def successor_h1(
     is below x, and the leading symbol unchanged otherwise (including x
     nonexistent).
 
-    The default path locates the only viable candidate arithmetically and
-    spends at most one necklace test. ``exhaustive=True`` scans candidates from
-    the top instead; both paths agree everywhere and the tests assert it.
+    The default path is the first symbol of a one-step run of the streaming
+    successor loop, which locates the only viable candidate arithmetically and
+    spends at most one necklace test. ``exhaustive=True`` is its brute-force
+    twin, which tests candidates from the top; the tests assert they agree.
     """
     syms = _validate_window(params, window)
-    return _successor_core(params.t, params.n, params.w_eff, syms, sum(syms), False, exhaustive,
-                           stats)
+    if exhaustive:
+        return _exhaustive_successor(params, syms, False, stats)
+    return _one_successor(params, syms, False, stats)
 
 
-def _successor_core(t, n, w, syms, weight, msr, exhaustive, stats):
-    """The successor decision shared by h1 (``msr`` false) and h2 (``msr`` true).
+def _one_successor(params, syms, msr, stats):
+    """One step of the successor loop; ``stats`` gains its tests and comparisons."""
+    counted = GenStats()
+    chunks = _successor_chunks(params, syms, 1, counted, msr)
+    next(chunks)
+    (s,) = next(chunks)
+    if stats is not None:
+        stats.add(tests=counted.necklace_tests, comparisons=counted.comparisons)
+    return s
 
-    No validation. The lead symbol is a1 for h1 and the missing symbol
-    z = w - weight for h2; the tested word is 0^r x a2..aj for h1 and
-    0^r x y a2..aj, with companion y = z - x + a1, for h2. x stays 0 when no
-    candidate exists, which leaves the lead unchanged either way.
+
+def _exhaustive_successor(params, syms, msr, stats):
+    """Brute-force twin of the successor loop: test every candidate x from the top.
+
+    The lead symbol is a1 for h1 and the missing symbol z = w - weight for h2;
+    the tested word is 0^r x a2..aj for h1 and 0^r x y a2..aj, with companion
+    y = z - x + a1, for h2. x stays 0 when no candidate is a necklace.
     """
-    a1 = syms[0]
-    z = w - weight
-    j0 = n - 1
-    while j0 >= 1 and syms[j0] == 0:
-        j0 -= 1
-    run_needed = n - 1 - j0
-    tail = syms[1 : j0 + 1]
-    # h1 keeps the weight within w; for h2 the companion y must not go negative,
-    # and y < t is automatic because z + a1 <= w < t
-    upper = min(t - 1, z + a1)
-
+    a1, z = syms[0], params.w_eff - sum(syms)
+    j = params.n - 1
+    while j and not syms[j]:
+        j -= 1
+    pad, tail = (0,) * (params.n - 1 - j), syms[1 : j + 1]
     x = 0
-    if upper >= 1:
-        if exhaustive:
-            candidates = range(upper, 0, -1)
-        else:
-            # smallest symbol that follows a run of run_needed zeros strictly
-            # inside the tail; any candidate above it cannot be a necklace
-            cap = t - 1
-            zrun = 0
-            for s in tail:
-                if zrun >= run_needed and s < cap:
-                    cap = s
-                if s == 0:
-                    zrun += 1
-                else:
-                    zrun = 0
-            if msr and run_needed == 0:
-                # with no zero padding, y immediately follows x, and the rotation
-                # starting at y caps the first symbol of any necklace: x <= y,
-                # i.e. 2x <= a1 + z. Starting above that can need several
-                # decrements (seen at t=7, n=2, w=6, window 13).
-                cap = min(cap, (a1 + z) // 2)
-            x0 = min(cap, upper)
-            candidates = (x0,) if x0 >= 1 else ()
-        for cand in candidates:
-            beta = (0,) * run_needed + ((cand, z - cand + a1) if msr else (cand,)) + tail
-            p, it = _period_count(beta, len(beta))
-            if stats is not None:
-                stats.add(tests=1, comparisons=it)
-            if p:
-                x = cand
-                break
-            if not exhaustive:
-                # the fast path's start point can fail, but then one below it holds
-                x = cand - 1
-
+    for cand in range(min(params.t - 1, z + a1), 0, -1):
+        word = pad + ((cand, z - cand + a1) if msr else (cand,)) + tail
+        p, it = _period_count(word, len(word))
+        if stats is not None:
+            stats.add(tests=1, comparisons=it)
+        if p:
+            x = cand
+            break
     lead = z if msr else a1
-    if lead > x:
-        return lead
-    if lead == x:
-        return 0
-    return lead + 1
+    return lead if lead > x else 0 if lead == x else lead + 1
 
 
 def iter_successor_chunks(
@@ -303,10 +286,10 @@ def iter_successor_chunks(
     """Stream the cycle a successor rule draws from ``start``, as lists of symbols.
 
     ``start`` (default all zeros) is validated before the iterator is returned;
-    then the shared successor core, h1 by default or h2 when ``msr`` is set
-    (the caller checks w < t), runs without validation on a window and weight
-    carried as locals. The first chunk is the start window. One full
-    period takes |Sigma_t(n,w)| - n rule calls, unless ``steps`` sets the count.
+    then the streaming successor loop runs h1 by default or h2 when ``msr`` is
+    set (the caller checks w < t). The first chunk is the start window. One
+    full period takes |Sigma_t(n,w)| - n rule calls, unless ``steps`` sets the
+    count.
     """
     n = params.n
     syms = _validate_window(params, (0,) * n if start is None else start)
@@ -320,25 +303,93 @@ def iter_successor_chunks(
     return _successor_chunks(params, syms, steps, stats, msr)
 
 
-def _successor_chunks(params, win, steps, stats, msr):
+def _successor_chunks(params, syms, steps, stats, msr):
+    """The one fast successor loop, for h1 (``msr`` false) and h2 (``msr`` true).
+
+    Yields the start window, then ``steps`` successors in chunks. Per symbol,
+    the largest candidate x that a necklace 0^r x a2..aj (h1) or 0^r x y a2..aj
+    (h2, y = z - x + a1) can have is found arithmetically, and one necklace
+    test decides between it and the symbol below. The window is a ``str`` of
+    code points, so the zero-run search, the zero check and the shift run in
+    C. j, the position of the last nonzero symbol among a2..an (0 for none),
+    is carried: n-1 after a nonzero symbol, one less after a zero. So is the
+    missing weight z. Counters are flushed once per chunk.
+    """
     t, n, w = params.t, params.n, params.w_eff
-    weight = sum(win)
+    tmax, n1, word_len = t - 1, n - 1, n + 1 if msr else n
+    pads = ["\0" * r for r in range(n)]
     if stats is not None:
-        stats.add(symbols=len(win))
-    yield list(win)
+        stats.add(symbols=len(syms))
+    yield list(syms)
+    win = "".join(map(chr, syms))
+    z = w - sum(syms)
+    j = max(len(win.rstrip("\0")) - 1, 0)
     while steps > 0:
         k = min(steps, SUCCESSOR_CHUNK)
         steps -= k
         chunk = []
+        append = chunk.append
+        tests = iters = 0
         for _ in range(k):
-            s = _successor_core(t, n, w, win, weight, msr, False, stats)
-            chunk.append(s)
-            weight += s - win[0]
-            win = win[1:] + (s,)
-        if weight != sum(win):
-            raise AssertionError(f"carried weight drifted: {weight} != {sum(win)}")
+            a1 = ord(win[0])
+            rest = win[1:]  # a2..an: the tail a2..aj, then r zeros
+            u = z + a1
+            # h1 keeps the weight within w; for h2 the companion y stays >= 0
+            # (and below t, as z + a1 <= w < t)
+            x = u if u < tmax else tmax
+            if x:
+                r = n1 - j
+                if r:
+                    # a symbol that follows a run of r zeros inside the tail caps
+                    # x; the tail ends nonzero, so each run is followed, and the
+                    # search stops at the trailing run, which starts at j
+                    pad = pads[r]
+                    q = rest.find(pad)
+                    while q < j:
+                        c = ord(rest[q + r])
+                        if c < x:
+                            x = c
+                            if not c:
+                                break
+                        q = rest.find(pad, q + r + 1)
+                else:
+                    # with no padding, x is at most every tail symbol
+                    if "\0" in rest:
+                        x = 0
+                    elif rest:
+                        c = ord(min(rest))
+                        if c < x:
+                            x = c
+                    if msr and x + x > u:
+                        # y follows x, and the rotation starting at y caps x:
+                        # x <= y, i.e. 2x <= a1 + z. Starting above that can
+                        # need several decrements (seen at t=7, n=2, w=6,
+                        # window 13).
+                        x = u // 2
+                if x:
+                    if msr:
+                        word = f"{pads[r]}{chr(x)}{chr(u - x)}{rest[:j]}"
+                    else:
+                        word = f"{pads[r]}{chr(x)}{rest[:j]}"
+                    p, it = _period_count(word, word_len)
+                    tests += 1
+                    iters += it
+                    if not p:
+                        # the start point can fail, but then the symbol below holds
+                        x -= 1
+            lead = z if msr else a1
+            s = lead if lead > x else 0 if lead == x else lead + 1
+            append(s)
+            z += a1 - s
+            win = rest + chr(s)
+            if s:
+                j = n1
+            elif j:
+                j -= 1
+        if w - z != sum(map(ord, win)):
+            raise AssertionError(f"carried weight drifted: {w - z} != {sum(map(ord, win))}")
         if stats is not None:
-            stats.add(symbols=k)
+            stats.add(symbols=k, tests=tests, comparisons=iters)
         yield chunk
 
 

@@ -8,7 +8,9 @@ tree gives a universal cycle for the same weight-bounded universe as the
 colex-concatenation engine, but traversed in a different order.
 
 ``successor_h2`` is the O(n)-per-symbol rule (at most one necklace test per
-call); ``iter_reverse_colex_prefixes`` streams the concatenation of aperiodic
+call), run by the streaming successor loop of ``bwcycles.grandmama`` with the
+missing symbol in the lead, and ``iter_msr_chunks`` streams it.
+``iter_reverse_colex_prefixes`` streams the concatenation of aperiodic
 prefixes of the weight-w necklaces in reverse colex order, through the same
 necklace walk as the colex concatenation, and ``check_conjecture`` compares
 the two streams symbol by symbol. Their equality is an observation, not a
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from itertools import chain, zip_longest
 from typing import Iterator, Sequence
 
-from bwcycles.grandmama import (GenStats, UCycle, _necklace_walk, _successor_core,
-                                _validate_window, iter_successor_chunks)
+from bwcycles.grandmama import (GenStats, UCycle, _exhaustive_successor, _necklace_walk,
+                                _one_successor, _validate_window, iter_successor_chunks)
 from bwcycles.words import ParamSet, Word
 
 __all__ = [
@@ -58,13 +60,16 @@ def successor_h2(
     Same decision shape as the colex successor, with the missing symbol z in
     the leading role: find the largest x >= 1 such that 0^(n-j) x y a2..aj is a
     necklace of length n+1 (y keeps the weight at w); emit 0 if z = x, z + 1 if
-    z < x, and plain z otherwise. Costs at most one necklace test per call on
-    the default path; ``exhaustive=True`` is the brute-force cross-check. The
-    decision itself is the one ``successor_h1`` makes, with z in a1's place.
+    z < x, and plain z otherwise. The default path is the first symbol of a
+    one-step run of the streaming successor loop that ``successor_h1`` also
+    runs, with z in a1's place, and costs at most one necklace test;
+    ``exhaustive=True`` is the brute-force twin that tests every candidate.
     """
-    t, n, w = _require_small_weight(params)
+    _require_small_weight(params)
     syms = _validate_window(params, window)
-    return _successor_core(t, n, w, syms, sum(syms), True, exhaustive, stats)
+    if exhaustive:
+        return _exhaustive_successor(params, syms, True, stats)
+    return _one_successor(params, syms, True, stats)
 
 
 def iter_msr_chunks(

@@ -326,6 +326,42 @@ def test_generate_stats_on_stderr(capsys):
                        f" comparisons={stats.comparisons}\n"), flags
 
 
+def test_generate_stats_across_successor_chunks(capsys):
+    # 10,000 symbols take the successor loop past its 4096-symbol chunk twice
+    p, limit = ParamSet(10, 7, 9), 10_000
+    assert p.universe_size > limit > 2 * grandmama.SUCCESSOR_CHUNK
+    for flags, build in [
+        (("--engine", "msr"), lambda stats: generate_msr(p, steps=limit - p.n, stats=stats)),
+        (("--seed-window", "0,1,0,2,0,0,3"),
+         lambda stats: generate_by_successor(p, start=(0, 1, 0, 2, 0, 0, 3), steps=limit - p.n,
+                                             stats=stats)),
+    ]:
+        stats = GenStats()
+        cycle = build(stats)
+        code, out, err = run(capsys, "generate", "--t", "10", "--n", "7", "--w", "9",
+                             "--format", "compact", "--stats", "--limit", str(limit), *flags)
+        assert code == 0 and out.strip() == str(cycle), flags
+        assert len(cycle) == stats.symbols == limit, flags
+        assert err == (f"stats: symbols={limit} necklace_tests={stats.necklace_tests}"
+                       f" comparisons={stats.comparisons}\n"), flags
+
+
+def test_alphabet_wider_than_a_byte(capsys):
+    cell = ("--multisets-diff", "300", "2")
+    for engine in ("grandmama", "msr"):
+        code, out, _ = run(capsys, "verify", *cell, "--engine", engine)
+        assert code == 0 and json.loads(out)["ok"] is True, engine
+        code, out, _ = run(capsys, "generate", *cell, "--engine", engine)
+        assert code == 0
+        canonical = out.split()
+        assert len(canonical) == 45_150 and max(map(int, canonical)) == 299
+        doubled = canonical + canonical
+        for i in (1, canonical.index("256"), len(canonical) - 1):
+            seed = ",".join(doubled[i : i + 2])
+            code, out, _ = run(capsys, "generate", *cell, "--engine", engine, "--seed-window", seed)
+            assert code == 0 and out.split() == doubled[i : i + len(canonical)], (engine, seed)
+
+
 def _naive_render(cycle: UCycle, fmt: str, limit: int | None) -> str:
     """The expected output of ``generate``, rendered one symbol at a time."""
     shown = list(cycle.symbols[:limit])

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,10 @@ from bwcycles.grandmama import (
     generate_by_successor,
     generate_concat,
     iter_concat_prefixes,
+    iter_successor_chunks,
     successor_h1,
 )
-from bwcycles.msr import successor_h2
+from bwcycles.msr import iter_msr_chunks, successor_h2
 from bwcycles.oracle import enumerate_universe, verify_universal_cycle
 from bwcycles.words import ParamSet, Word, enumerate_bounded_necklaces, necklace_info, words_iter
 
@@ -112,6 +115,31 @@ def test_successor_h1_rejects_bad_windows():
         successor_h1(p, (1, 1, 1))  # weight above the ceiling
 
 
+def test_successor_rejects_non_integer_symbols():
+    p = ParamSet(4, 3, 5)
+    for bad in [(0, 1.5, 0), (0, "1", 0), (0, None, 0)]:
+        for exhaustive in (False, True):
+            with pytest.raises(ValueError, match="non-integer"):
+                successor_h1(p, bad, exhaustive=exhaustive)
+        with pytest.raises(ValueError, match="non-integer"):
+            generate_by_successor(p, start=bad, steps=5)
+    with pytest.raises(ValueError, match="non-integer"):
+        successor_h2(ParamSet(4, 3, 3), (0, 1.0, 0))
+    with pytest.raises(ValueError, match="non-integer"):
+        iter_msr_chunks(ParamSet(4, 3, 3), start=(0, 1.0, 0))
+
+
+def test_successor_alphabet_capped_at_the_code_point_range():
+    # the loop holds its window as text: every code point is a symbol, no more
+    top = ParamSet(1_114_112, 2, 1_114_111)
+    assert generate_by_successor(top, start=(0, 1_114_111), steps=3).symbols == (0, 1_114_111, 0, 0, 1)
+    assert successor_h2(top, (0, 0)) == 1_114_111
+    with pytest.raises(ValueError, match="t <= 1114112"):
+        successor_h1(ParamSet(1_114_113, 2, 5), (0, 0))
+    with pytest.raises(ValueError, match="t <= 1114112"):
+        iter_msr_chunks(ParamSet(1_114_113, 2, 5))
+
+
 def test_successor_h1_single_test_budget():
     p = ParamSet(6, 6, 9)
     u = generate_concat(p)
@@ -195,6 +223,56 @@ def test_fast_equals_exhaustive_on_a_wide_grid():
                         assert stats.necklace_tests <= 1, (params, win)
                         assert fast == successor_h2(params, win, exhaustive=True), (params, win)
     assert (h1_windows, h2_windows) == (209_247, 50_292)
+
+
+def _twin_run(rule, params, start, steps):
+    """The symbols a rule's brute-force twin draws from ``start``, one window at a time."""
+    out, win = list(start), tuple(start)
+    for _ in range(steps):
+        s = rule(params, win, exhaustive=True)
+        out.append(s)
+        win = win[1:] + (s,)
+    return out
+
+
+# t <= 9, n <= 8, cells of n to 20,000 words: for h1 every w <= t plus the middle
+# and the top of the weight range, for h2 every w < t
+WIDER_GRID = [
+    (t, n, w)
+    for t in range(2, 10)
+    for n in range(1, 9)
+    for w in sorted({*range(t + 1), n * (t - 1) // 2, n * (t - 1)})
+    if w <= n * (t - 1) and n <= ParamSet(t, n, w).universe_size <= 20_000
+]
+
+
+@pytest.mark.slow
+def test_stream_equals_exhaustive_twin_on_a_wider_grid():
+    windows = {successor_h1: 0, successor_h2: 0}
+    for t, n, w in WIDER_GRID:
+        params = ParamSet(t, n, w)
+        rules = [(successor_h1, iter_successor_chunks)]
+        if w < t:
+            rules.append((successor_h2, iter_msr_chunks))
+        for rule, stream in rules:
+            size = params.universe_size
+            windows[rule] += size
+            cycle = _twin_run(rule, params, (0,) * n, size - n)
+            doubled = cycle + cycle
+            # the fast rule called once per cyclic window, with its own counters
+            calls = []
+            for i in range(size):
+                stats = GenStats()
+                assert rule(params, doubled[i : i + n], stats=stats) == doubled[i + n], (params, i)
+                calls.append((stats.necklace_tests, stats.comparisons))
+            for i in sorted({0, 1, size // 3, size - 1}):
+                stats = GenStats()
+                got = list(chain.from_iterable(stream(params, doubled[i : i + n], stats=stats)))
+                assert got == doubled[i : i + size], (params, rule, i)
+                made = [calls[(i + k) % size] for k in range(size - n)]
+                assert stats.necklace_tests == sum(c[0] for c in made), (params, rule, i)
+                assert stats.comparisons == sum(c[1] for c in made), (params, rule, i)
+    assert (windows[successor_h1], windows[successor_h2]) == (318_830, 92_259)
 
 
 @settings(max_examples=40, deadline=None)

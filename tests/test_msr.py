@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,6 +226,22 @@ def test_check_conjecture_report_shape_on_divergence():
     rep = ConjectureReport(2, 2, 1, False, 3, 3, (1, 0, 1))
     d = rep.to_dict()
     assert d["first_divergence"] == {"index": 1, "msr": 0, "reverse_colex": 1}
+
+
+def test_successor_h2_alphabet_wider_than_a_byte():
+    # the cell of --multisets-diff 300 2; symbols above 255 still compare by value
+    p = ParamSet(300, 2, 299)
+    rng = random.Random(300)
+    windows = [(0, 0), (299, 0), (0, 299), (150, 149), (256, 43), (43, 256)]
+    for _ in range(2000):
+        a1 = rng.randrange(300)
+        windows.append((a1, rng.randrange(300 - a1)))
+    for win in windows:
+        stats = GenStats()
+        fast = successor_h2(p, win, stats=stats)
+        assert stats.necklace_tests <= 1, win
+        assert fast == successor_h2(p, win, exhaustive=True), win
+    assert max(generate_msr(p).symbols) == 299
 
 
 def test_msr_matches_generic_tree_successor():
