@@ -9,7 +9,8 @@ Encoded kinds are read from ``combmaps.ENCODINGS`` and every engine starts
 through ``combmaps.engine_chunks``. A seed window is checked before anything
 is written, and --stats reports the same counters as the library run of the
 same cycle. Exit codes: 0 success, 1 verification failure, 2 usage or
-parameter error, and every error prints a single "error: ..." line on stderr.
+parameter error (a ValueError, raised here or by the library layer that owns
+the rule), and every error prints a single "error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -23,21 +24,18 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterator, Sequence
 
-from bwcycles.combmaps import ENCODINGS, ENGINES, Encoding, engine_chunks, fixed_weight_expand
+from bwcycles.combmaps import (ENCODINGS, ENGINES, Encoding, engine_chunks, fixed_weight_expand,
+                               fixed_weight_size)
 from bwcycles.cyclejoin import FeedbackKind, build_tree
 from bwcycles.grandmama import GenStats, UCycle
 from bwcycles.msr import check_conjecture
 from bwcycles.oracle import enumerate_universe, verify_listing, verify_stream
-from bwcycles.words import ParamSet, count_bounded_words
+from bwcycles.words import ParamSet, parse_symbols
 
 __all__ = ["main"]
 
 # symbols per render call and write: per-write costs vanish, memory stays small
 RENDER_BATCH = 1 << 16
-
-
-class CliError(Exception):
-    """Raised for anything that should become `error: ...` plus exit code 2."""
 
 
 class _OneLineParser(argparse.ArgumentParser):
@@ -56,22 +54,6 @@ class _Cell:
     enc: Encoding | None = None  # the table entry of an encoded kind
     nk: tuple[int, int] | None = None
     shift: int = 0  # added to every engine symbol on output
-    scheme: str | None = None
-
-
-def _parse_symbols(text: str) -> tuple[int, ...]:
-    """Parse a window or sequence: either comma/space separated ints or bare digits."""
-    text = text.strip()
-    if "," in text or " " in text:
-        parts = [p for p in text.replace(",", " ").split() if p]
-    elif text.isdigit():
-        parts = list(text)
-    else:
-        raise CliError(f"cannot parse symbols from {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise CliError(f"cannot parse symbols from {text!r}") from None
 
 
 def _add_cell_flags(sp: argparse.ArgumentParser) -> None:
@@ -89,16 +71,16 @@ def _resolve_cell(args) -> _Cell:
         groups.append("words")
     if len(groups) != 1:
         flags = ", ".join(f"--{kind}" for kind in ENCODINGS)
-        raise CliError(f"choose exactly one of --t/--n/--w, {flags}")
+        raise ValueError(f"choose exactly one of --t/--n/--w, {flags}")
     kind = groups[0]
     if kind == "words":
         if args.t is None or args.n is None or args.w is None:
-            raise CliError("--t, --n and --w must all be given")
+            raise ValueError("--t, --n and --w must all be given")
         params = ParamSet(args.t, args.n, args.w)
         return _Cell(kind, params, params.universe_size)
     enc = ENCODINGS[kind]
     n, k = given[kind]
-    return _Cell(kind, enc.params(n, k), enc.length(n, k), enc, (n, k), enc.shift, enc.scheme)
+    return _Cell(kind, enc.params(n, k), enc.length(n, k), enc, (n, k), enc.shift)
 
 
 def _resolve_seed(args, cell: _Cell) -> tuple[int, ...] | None:
@@ -106,12 +88,12 @@ def _resolve_seed(args, cell: _Cell) -> tuple[int, ...] | None:
     if getattr(args, "seed_window", None) is None:
         return None
     if args.engine == "reverse-colex":
-        raise CliError("--seed-window needs a successor engine (grandmama or msr)")
-    seed = _parse_symbols(args.seed_window)
+        raise ValueError("--seed-window needs a successor engine (grandmama or msr)")
+    seed = parse_symbols(args.seed_window)
     if len(seed) != cell.params.n:
-        raise CliError(f"seed window must have length {cell.params.n}, got {len(seed)}")
+        raise ValueError(f"seed window must have length {cell.params.n}, got {len(seed)}")
     if cell.shift and any(s < cell.shift for s in seed):
-        raise CliError(f"seed symbols for {cell.kind} start at {cell.shift}")
+        raise ValueError(f"seed symbols for {cell.kind} start at {cell.shift}")
     return tuple(s - cell.shift for s in seed)
 
 
@@ -170,10 +152,10 @@ def cmd_generate(args) -> int:
     cell = _resolve_cell(args)
     seed = _resolve_seed(args, cell)
     if args.limit is not None and args.limit < 0:
-        raise CliError("--limit cannot be negative")
+        raise ValueError("--limit cannot be negative")
     top = cell.params.t - 1 + cell.shift
     if args.format == "compact" and top > 9:
-        raise CliError(f"compact format needs all symbols < 10, but they reach {top}")
+        raise ValueError(f"compact format needs all symbols < 10, but they reach {top}")
 
     stats = GenStats() if args.stats else None
     p, limit = cell.params, args.limit
@@ -187,7 +169,7 @@ def cmd_generate(args) -> int:
     meta = {
         "engine": tag,
         "scheme": None if cell.enc is None else
-                  {"name": cell.scheme, "n": cell.nk[0], "k": cell.nk[1]},
+                  {"name": cell.enc.scheme, "n": cell.nk[0], "k": cell.nk[1]},
         "t": cell.params.t,
         "n": cell.params.n,
         "w": cell.params.w_eff,
@@ -214,7 +196,7 @@ def cmd_decode(args) -> int:
     _, chunks = engine_chunks(cell.params, args.engine, _resolve_seed(args, cell))
     position, length, n = args.position, cell.length, cell.params.n
     if not 0 <= position < length:
-        raise CliError(f"position {position} outside 0..{length - 1}")
+        raise ValueError(f"position {position} outside 0..{length - 1}")
     # read only up to the window's end; the first n symbols continue a cycle that
     # ends inside the window (all of them, when the cycle is shorter than n)
     symbols = chain.from_iterable(chunks)
@@ -233,21 +215,15 @@ def cmd_verify(args) -> int:
     fits = ("words", "fixed-weight") if cell.enc is None else (cell.kind,)
     against = args.against or fits[0]
     if against not in fits:
-        raise CliError(f"--against {against} does not fit the {cell.kind} parameters")
+        raise ValueError(f"--against {against} does not fit the {cell.kind} parameters")
 
     # every check the flags decide is made before a cycle is built or a universe enumerated
     p = cell.params
-    size = cell.length
-    if against == "fixed-weight":
-        if p.w_eff > p.t:
-            raise CliError(f"fixed-weight expansion needs w <= t, got w={p.w_eff} t={p.t}")
-        # the universe is the length-(n+1) words of weight exactly w
-        size = (count_bounded_words(p.t, p.n + 1, p.w_eff)
-                - (count_bounded_words(p.t, p.n + 1, p.w_eff - 1) if p.w_eff else 0))
+    size = fixed_weight_size(p) if against == "fixed-weight" else cell.length
     if size > args.max_universe:
-        raise CliError(f"universe has {size} elements, above the cap {args.max_universe}")
+        raise ValueError(f"universe has {size} elements, above the cap {args.max_universe}")
     if args.sequence is not None:
-        tag, chunks = "user", [_parse_symbols(args.sequence)]
+        tag, chunks = "user", [parse_symbols(args.sequence)]
     else:
         tag, chunks = engine_chunks(p, args.engine, _resolve_seed(args, cell))
         if cell.shift:
@@ -294,14 +270,14 @@ def cmd_conjecture(args) -> int:
     cells = []
     if args.max_tn is not None:
         if args.t is not None or args.n is not None or args.w is not None:
-            raise CliError("give either --max-tn or a single --t/--n/--w cell, not both")
+            raise ValueError("give either --max-tn or a single --t/--n/--w cell, not both")
         for t in range(2, args.max_tn + 1):
             for n in range(1, args.max_tn + 1):
                 for w in range(t):
                     cells.append(ParamSet(t, n, w))
     else:
         if args.t is None or args.n is None or args.w is None:
-            raise CliError("--t, --n and --w must all be given (or use --max-tn)")
+            raise ValueError("--t, --n and --w must all be given (or use --max-tn)")
         cells.append(ParamSet(args.t, args.n, args.w))
 
     divergent = 0
@@ -383,7 +359,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

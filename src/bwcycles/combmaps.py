@@ -16,19 +16,21 @@ the engine alphabet {0..n-k} is shifted up by one on output.
 
 ``ENCODINGS`` holds each encoding's facts in one row, and ``engine_chunks``
 is the one engine dispatch; the ``ucycle_*`` makers, ``decode_window`` and the
-CLI read both. The oracle enumerates its universes on its own.
+CLI read both. The oracle enumerates its universes on its own. ``CombObject``
+is the one check of a subset or multiset, so the difference decoders are bare
+partial sums; ``fixed_weight_size`` owns the fixed-weight expansion's w <= t rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from math import comb
 from typing import Callable, Iterator, Sequence
 
 from bwcycles.grandmama import GenStats, UCycle, iter_concat_prefixes, iter_successor_chunks
 from bwcycles.msr import iter_msr_chunks, iter_reverse_colex_prefixes
-from bwcycles.words import ParamSet, Word, _symbols
+from bwcycles.words import ParamSet, Word, _symbols, count_bounded_words
 
 __all__ = [
     "CombObject",
@@ -49,6 +51,7 @@ __all__ = [
     "ucycle_multisets_freq",
     "ucycle_multisets_diff",
     "decode_window",
+    "fixed_weight_size",
     "fixed_weight_expand",
 ]
 
@@ -104,20 +107,9 @@ def subset_to_diff(obj: CombObject) -> Word:
 
 
 def diff_to_subset(word: "Word | Sequence[int]", n: int) -> CombObject:
-    """Inverse of subset_to_diff: partial sums rebuild the subset."""
+    """Inverse of subset_to_diff: the partial sums, which CombObject checks."""
     diffs = _symbols(word)
-    if not diffs:
-        raise ValueError("empty difference word")
-    total = 0
-    elements = []
-    for d in diffs:
-        if d < 1:
-            raise ValueError(f"difference symbols must be positive, got {d}")
-        total += d
-        if total > n:
-            raise ValueError(f"partial sums exceed the ground set bound {n}")
-        elements.append(total)
-    return CombObject("subset", n, len(diffs), tuple(elements))
+    return CombObject("subset", n, len(diffs), tuple(accumulate(diffs)))
 
 
 def multiset_to_freq(obj: CombObject) -> Word:
@@ -159,20 +151,9 @@ def multiset_to_diff(obj: CombObject) -> Word:
 
 
 def diff_to_multiset(word: "Word | Sequence[int]", n: int) -> CombObject:
-    """Inverse of multiset_to_diff."""
+    """Inverse of multiset_to_diff: one plus the partial sums, which CombObject checks."""
     diffs = _symbols(word)
-    if not diffs:
-        raise ValueError("empty difference word")
-    if any(d < 0 for d in diffs):
-        raise ValueError("multiset difference symbols cannot be negative")
-    current = diffs[0] + 1
-    elements = [current]
-    for d in diffs[1:]:
-        current += d
-        elements.append(current)
-    if current > n:
-        raise ValueError(f"differences reach {current}, outside the ground set 1..{n}")
-    return CombObject("multiset", n, len(diffs), tuple(elements))
+    return CombObject("multiset", n, len(diffs), tuple(accumulate(diffs, initial=1))[1:])
 
 
 ENGINES = ("grandmama", "msr", "reverse-colex")
@@ -306,19 +287,27 @@ def decode_window(cycle: UCycle, position: int):
     return enc.decode(win, *cycle.scheme_params)
 
 
+def fixed_weight_size(params: ParamSet) -> int:
+    """How many length-(n+1), weight-w words ``fixed_weight_expand`` lists; refuses w > t."""
+    t, n, w = params.t, params.n, params.w_eff
+    if w > t:
+        raise ValueError(f"fixed-weight expansion needs w <= t, got w={w} t={t}")
+    return count_bounded_words(t, n + 1, w) - (count_bounded_words(t, n + 1, w - 1) if w else 0)
+
+
 def fixed_weight_expand(cycle: UCycle) -> list[tuple[int, ...]]:
     """Expand a weight-bounded cycle into every weight-w word of length n+1.
 
     Appending the missing symbol w - weight(window) to each cyclic window gives
     each length-(n+1) word of weight exactly w once, provided w < t. At w = t
     the all-zero window is first collapsed from n zeros to n-1 (dropping one
-    symbol of the cycle); above t there is no such cycle and we refuse.
+    symbol of the cycle); above t there is no such cycle and ``fixed_weight_size``
+    refuses.
     """
     if cycle.scheme is not None:
         raise ValueError("fixed-weight expansion applies to word-level cycles")
+    fixed_weight_size(cycle.params)
     t, n, w = cycle.t, cycle.n, cycle.w
-    if w > t:
-        raise ValueError(f"fixed-weight expansion needs w <= t, got w={w} t={t}")
     symbols = list(cycle.symbols)
     if w == t:
         zero = (0,) * n

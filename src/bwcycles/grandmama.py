@@ -281,16 +281,19 @@ def iter_successor_chunks(
     start: "Word | Sequence[int] | None" = None,
     steps: int | None = None,
     stats: GenStats | None = None,
-    msr: bool = False,
 ) -> Iterator[list[int]]:
-    """Stream the cycle a successor rule draws from ``start``, as lists of symbols.
+    """Stream the cycle the colex rule h1 draws from ``start``, as lists of symbols.
 
-    ``start`` (default all zeros) is validated before the iterator is returned;
-    then the streaming successor loop runs h1 by default or h2 when ``msr`` is
-    set (the caller checks w < t). The first chunk is the start window. One
-    full period takes |Sigma_t(n,w)| - n rule calls, unless ``steps`` sets the
-    count.
+    ``start`` (default all zeros) is validated before the iterator is returned.
+    The first chunk is the start window. One full period takes |Sigma_t(n,w)| - n
+    rule calls, unless ``steps`` sets the count. h2 streams only through
+    ``bwcycles.msr.iter_msr_chunks``, which checks its w < t.
     """
+    return _successor_chunks(params, *_successor_start(params, start, steps), stats, False)
+
+
+def _successor_start(params, start, steps):
+    """(validated start window, rule calls for one period or ``steps``), for h1 and h2."""
     n = params.n
     syms = _validate_window(params, (0,) * n if start is None else start)
     if steps is None:
@@ -300,7 +303,7 @@ def iter_successor_chunks(
             syms, steps = syms[:size], 0
         else:
             steps = size - n
-    return _successor_chunks(params, syms, steps, stats, msr)
+    return syms, steps
 
 
 def _successor_chunks(params, syms, steps, stats, msr):

@@ -24,7 +24,8 @@ from itertools import chain, zip_longest
 from typing import Iterator, Sequence
 
 from bwcycles.grandmama import (GenStats, UCycle, _exhaustive_successor, _necklace_walk,
-                                _one_successor, _validate_window, iter_successor_chunks)
+                                _one_successor, _successor_chunks, _successor_start,
+                                _validate_window)
 from bwcycles.words import ParamSet, Word
 
 __all__ = [
@@ -78,9 +79,9 @@ def iter_msr_chunks(
     steps: int | None = None,
     stats: GenStats | None = None,
 ) -> Iterator[list[int]]:
-    """``iter_successor_chunks`` driven by the missing-symbol rule h2 (needs w < t)."""
+    """``iter_successor_chunks`` for the missing-symbol rule h2, after its w < t check."""
     _require_small_weight(params)
-    return iter_successor_chunks(params, start, steps, stats, msr=True)
+    return _successor_chunks(params, *_successor_start(params, start, steps), stats, True)
 
 
 def generate_msr(
@@ -164,7 +165,6 @@ def check_conjecture(params: ParamSet) -> ConjectureReport:
     observation and downstream code must keep working if a counterexample
     ever shows up. The shorter stream reads as -1 past its end.
     """
-    t, n, w = _require_small_weight(params)
     lengths = [0, 0]
 
     def counted(chunks, k):
@@ -182,9 +182,9 @@ def check_conjecture(params: ParamSet) -> ConjectureReport:
     for _ in chain(a, b):
         pass
     return ConjectureReport(
-        t=t,
-        n=n,
-        w=w,
+        t=params.t,
+        n=params.n,
+        w=params.w_eff,
         holds=divergence is None,
         length_msr=lengths[0],
         length_reverse_colex=lengths[1],

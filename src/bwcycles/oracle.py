@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, combinations, combinations_with_replacement, cycle, islice
+from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -90,8 +91,8 @@ def _dense(t: int, n: int, size: int) -> bool:
     return t ** n <= DENSE_RATIO * size
 
 
-def _coded(words: set[tuple[int, ...]], n: int, t: int | None = None) -> _Coded:
-    """Code a set of words; the alphabet is {0..max symbol} unless ``t`` is given.
+def _coded(words: set[tuple[int, ...]], n: int) -> _Coded:
+    """Code a set of words over the alphabet {0..max symbol}.
 
     Words of another length or with a negative symbol are kept aside as ``stray``.
     """
@@ -101,8 +102,7 @@ def _coded(words: set[tuple[int, ...]], n: int, t: int | None = None) -> _Coded:
         stray = {w for w in words if len(w) != n or min(w, default=0) < 0}
         fit = words - stray
         symbols = set(chain.from_iterable(fit))
-    if t is None:
-        t = 1 + max(symbols, default=0)
+    t = 1 + max(symbols, default=0)
     place = [t ** i for i in reversed(range(n))]
     codes = [sum(map(mul, w, place)) for w in fit]
     if _dense(t, n, len(codes)):
@@ -162,18 +162,25 @@ def _check_cap(size: int, max_universe: int) -> None:
         raise ValueError(f"universe has {size} elements, above the cap {max_universe}")
 
 
+def _bounded_size(t: int, n: int, w: int) -> int:
+    return _weight_fold(t, n, w, 1, lambda k: 0, sum)
+
+
 def _named(kind: str, params: dict, max_universe: int) -> _Coded:
-    """The coded universe of an ``enumerate_universe`` kind, refused above the cap."""
+    """The coded universe of an ``enumerate_universe`` kind, refused above the cap
+    by its closed-form size before a word is enumerated."""
     if kind == "bounded_words":
         t, n, w = params["t"], params["n"], params["w"]
-        size = _weight_fold(t, n, w, 1, lambda k: 0, sum)
+        size = _bounded_size(t, n, w)
         _check_cap(size, max_universe)
         if _dense(t, n, size):
             return _Coded(t, n, _bounded_marks(t, n, w), size)
         return _Coded(t, n, dict.fromkeys(_bounded_codes(t, n, w), 1), size)
-    words = set(enumerate_universe(kind, **params))
-    _check_cap(len(words), max_universe)
-    return _coded(words, _WORD_LENGTH[kind](params))
+    if kind not in _TUPLE_KINDS:
+        raise ValueError(f"unknown universe kind {kind!r}")
+    length, size = _TUPLE_KINDS[kind]
+    _check_cap(size(params), max_universe)
+    return _coded(set(enumerate_universe(kind, **params)), length(params))
 
 
 def _batches(chunks: Iterable[Sequence[int]], warm: int) -> Iterator[list[int]]:
@@ -396,12 +403,24 @@ def _weight_bounded(t: int, n: int, w: int) -> list[tuple[int, ...]]:
     return level
 
 
-# the word length of each kind enumerated as tuples, from its parameters
-_WORD_LENGTH = {
-    "fixed_weight_words": lambda p: p["length"],
-    "subset_diff": lambda p: p["k"],
-    "multiset_freq": lambda p: p["n"] - 1,
-    "multiset_diff": lambda p: p["k"],
+def _diff_k(p: dict) -> int:
+    """k of a difference-word kind, whose first symbol needs an element."""
+    if p["k"] < 1:
+        raise ValueError(f"difference words need k >= 1, got n={p['n']} k={p['k']}")
+    return p["k"]
+
+
+def _fixed_weight_size(p: dict) -> int:
+    t, n, w = p["t"], p["length"], p["weight"]
+    return _bounded_size(t, n, w) - _bounded_size(t, n, w - 1)
+
+
+# (word length, closed-form size) of each kind enumerated as tuples, from its parameters
+_TUPLE_KINDS = {
+    "fixed_weight_words": (lambda p: p["length"], _fixed_weight_size),
+    "subset_diff": (_diff_k, lambda p: comb(p["n"], _diff_k(p))),
+    "multiset_freq": (lambda p: p["n"] - 1, lambda p: comb(p["n"] + p["k"] - 1, p["k"])),
+    "multiset_diff": (_diff_k, lambda p: comb(p["n"] + _diff_k(p) - 1, p["k"])),
 }
 
 
@@ -412,11 +431,11 @@ def enumerate_universe(kind: str, **params) -> list[tuple[int, ...]]:
 
     - ``bounded_words``: t, n, w. Length-n words over {0..t-1} of weight <= w.
     - ``fixed_weight_words``: t, length, weight. Words of weight exactly ``weight``.
-    - ``subset_diff``: n, k. Difference words of k-subsets of {1..n}: consecutive
+    - ``subset_diff``: n, k >= 1. Difference words of k-subsets of {1..n}: consecutive
       gaps (d1 = s1, di = si - s(i-1)), an alphabet of {1..n-k+1}.
     - ``multiset_freq``: n, k. Truncated frequency words of k-multisets over
       {1..n}: how often each of 1..n-1 occurs (the count of n is implied).
-    - ``multiset_diff``: n, k. Difference words of sorted k-multisets:
+    - ``multiset_diff``: n, k >= 1. Difference words of sorted k-multisets:
       d1 = m1 - 1, di = mi - m(i-1), an alphabet of {0..n-1}.
     """
     if kind == "bounded_words":
@@ -424,13 +443,6 @@ def enumerate_universe(kind: str, **params) -> list[tuple[int, ...]]:
     if kind == "fixed_weight_words":
         t, length, target = params["t"], params["length"], params["weight"]
         return [word for word in _weight_bounded(t, length, target) if sum(word) == target]
-    if kind == "subset_diff":
-        n, k = params["n"], params["k"]
-        out = []
-        for subset in combinations(range(1, n + 1), k):
-            diffs = (subset[0],) + tuple(subset[i] - subset[i - 1] for i in range(1, k))
-            out.append(diffs)
-        return out
     if kind == "multiset_freq":
         n, k = params["n"], params["k"]
         out = []
@@ -438,13 +450,11 @@ def enumerate_universe(kind: str, **params) -> list[tuple[int, ...]]:
             counts = Counter(multiset)
             out.append(tuple(counts.get(v, 0) for v in range(1, n)))
         return out
-    if kind == "multiset_diff":
-        n, k = params["n"], params["k"]
-        out = []
-        for multiset in combinations_with_replacement(range(1, n + 1), k):
-            diffs = (multiset[0] - 1,) + tuple(
-                multiset[i] - multiset[i - 1] for i in range(1, k)
-            )
-            out.append(diffs)
-        return out
+    if kind in ("subset_diff", "multiset_diff"):
+        n, k = params["n"], _diff_k(params)
+        if kind == "subset_diff":
+            combos, first = combinations(range(1, n + 1), k), 0
+        else:
+            combos, first = combinations_with_replacement(range(1, n + 1), k), 1
+        return [(c[0] - first,) + tuple(b - a for a, b in zip(c, c[1:])) for c in combos]
     raise ValueError(f"unknown universe kind {kind!r}")

@@ -26,6 +26,7 @@ __all__ = [
     "necklace_info",
     "enumerate_bounded_necklaces",
     "count_bounded_words",
+    "parse_symbols",
 ]
 
 
@@ -33,6 +34,21 @@ def _render(symbols: Sequence[int]) -> str:
     """Digits run together when every symbol is a single digit, else comma-separated."""
     sep = "" if all(s < 10 for s in symbols) else ","
     return sep.join(map(str, symbols))
+
+
+def parse_symbols(text: str) -> tuple[int, ...]:
+    """The one reader of symbol text: comma/space separated ints or bare digits."""
+    text = text.strip()
+    if "," in text or " " in text:
+        parts = [p for p in text.replace(",", " ").split() if p]
+    elif text.isdigit():
+        parts = list(text)
+    else:
+        raise ValueError(f"cannot parse symbols from {text!r}")
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"cannot parse symbols from {text!r}") from None
 
 
 def _symbols(word: "Word | Sequence[int]") -> tuple[int, ...]:
@@ -63,13 +79,8 @@ class Word:
 
     @classmethod
     def from_string(cls, text: str, t: int) -> "Word":
-        """Parse either a digit string ("0013") or a comma-separated list ("0,0,1,3")."""
-        text = text.strip()
-        if "," in text:
-            syms = tuple(int(part) for part in text.split(","))
-        else:
-            syms = tuple(int(ch) for ch in text)
-        return cls(syms, t)
+        """Read ``text`` with ``parse_symbols``: "0013", "0,0,1,3" and "0 0 1 3" agree."""
+        return cls(parse_symbols(text), t)
 
     @property
     def weight(self) -> int:

@@ -3,7 +3,8 @@
 One test per criterion, each printing a single "ACCEPTANCE <k> <name>: PASS/FAIL"
 line directly to the terminal (bypassing capture). The engine sweep over the
 full parameter grid is computed once in a session fixture and shared, since
-criteria 2, 3, 6, 7 and 8 all read different facets of the same runs.
+criteria 2, 3, 6, 7 and 8 all read different facets of the same runs. Those
+five are marked slow, so ``-m "not slow"`` skips the fixture.
 """
 
 import itertools
@@ -134,12 +135,14 @@ def test_c1_golden_sequences(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.slow
 def test_c2_engine_equivalence(sweep, capsys):
     bad = [cell for cell, rec in sweep.items() if not rec["equal"]]
     report(capsys, 2, "engine-equivalence", not bad, f" ({len(sweep)} cells)")
     assert not bad, f"engines disagree at {bad[:5]}"
 
 
+@pytest.mark.slow
 def test_c3_universality_sweep(sweep, capsys):
     bad = [
         cell
@@ -207,12 +210,14 @@ def test_c5_fixed_weight_expansion(capsys):
     assert not bad, f"expansion mismatches at {bad[:5]}"
 
 
+@pytest.mark.slow
 def test_c6_one_necklace_test_per_call(sweep, capsys):
     worst = max(rec["msr_max_tests"] for rec in sweep.values() if "msr_max_tests" in rec)
     report(capsys, 6, "one-necklace-test-bound", worst <= 1, f" (max {worst} per call)")
     assert worst <= 1
 
 
+@pytest.mark.slow
 def test_c7_amortized_cost(sweep, capsys):
     over = [
         cell for cell, rec in sweep.items() if 2 * rec["comparisons"] > 16 * rec["length"]
@@ -244,6 +249,7 @@ def test_c7_amortized_cost(sweep, capsys):
     assert verified, checked.to_dict()
 
 
+@pytest.mark.slow
 def test_c8_tree_chain_and_leaves(sweep, capsys):
     bad = [
         cell

@@ -5,6 +5,8 @@ import sys
 from itertools import chain, islice
 from pathlib import Path
 
+import pytest
+
 from bwcycles import cli, grandmama
 from bwcycles.cli import main
 from bwcycles.combmaps import (
@@ -21,7 +23,7 @@ from bwcycles.grandmama import (
     iter_concat_prefixes,
 )
 from bwcycles.msr import generate_msr, generate_reverse_colex, iter_reverse_colex_prefixes
-from bwcycles.words import ParamSet
+from bwcycles.words import ParamSet, Word, parse_symbols
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FORMATS = ("compact", "delimited", "json")
@@ -129,6 +131,23 @@ def test_generate_usage_errors(capsys):
         assert code == 2, case
         assert err.startswith("error:") and err.count("\n") == 1, case
         assert out == "", case
+
+
+def test_word_from_string_reads_what_the_cli_reads(capsys):
+    assert cli.parse_symbols is parse_symbols
+    canonical = run(capsys, "generate", "--t", "5", "--n", "3", "--w", "4",
+                    "--seed-window", "013")
+    for text in ("013", "0,1,3", "0 1 3", "0,,1,,3", " 0 , 1 ,3 ", ",0,1,3,"):
+        assert Word.from_string(text, 5) == Word((0, 1, 3), 5), text
+        assert run(capsys, "generate", "--t", "5", "--n", "3", "--w", "4",
+                   "--seed-window", text) == canonical, text
+    for text in ("", "  ", "0;1;3", "a", "0,a,3", "0\t1\t3", "01.3"):
+        with pytest.raises(ValueError) as refused:
+            Word.from_string(text, 5)
+        assert str(refused.value) == f"cannot parse symbols from {text.strip()!r}"
+        code, out, err = run(capsys, "generate", "--t", "5", "--n", "3", "--w", "4",
+                             "--seed-window", text)
+        assert (code, out, err) == (2, "", f"error: {refused.value}\n"), text
 
 
 def test_unknown_flag_and_help(capsys):

@@ -14,6 +14,7 @@ from bwcycles.combmaps import (
     diff_to_subset,
     engine_chunks,
     fixed_weight_expand,
+    fixed_weight_size,
     freq_to_multiset,
     multiset_to_diff,
     multiset_to_freq,
@@ -95,6 +96,55 @@ def test_codec_rejects():
         diff_to_multiset((2, 1), 3)  # reaches 4 > n
     with pytest.raises(ValueError):
         diff_to_subset((), 4)
+
+
+def _explicit_diff_to_subset(diffs, n):
+    """The decoder's former checks, spelled out: the reference for what it rejects."""
+    if not diffs:
+        raise ValueError("empty difference word")
+    total, elements = 0, []
+    for d in diffs:
+        if d < 1:
+            raise ValueError(f"difference symbols must be positive, got {d}")
+        total += d
+        if total > n:
+            raise ValueError(f"partial sums exceed the ground set bound {n}")
+        elements.append(total)
+    return CombObject("subset", n, len(diffs), tuple(elements))
+
+
+def _explicit_diff_to_multiset(diffs, n):
+    if not diffs:
+        raise ValueError("empty difference word")
+    if any(d < 0 for d in diffs):
+        raise ValueError("multiset difference symbols cannot be negative")
+    elements = [diffs[0] + 1]
+    for d in diffs[1:]:
+        elements.append(elements[-1] + d)
+    if elements[-1] > n:
+        raise ValueError(f"differences reach {elements[-1]}, outside the ground set 1..{n}")
+    return CombObject("multiset", n, len(diffs), tuple(elements))
+
+
+def _outcome(decode, diffs, n):
+    try:
+        return decode(diffs, n)
+    except ValueError:
+        return "rejected"
+
+
+def test_diff_decoders_reject_exactly_what_the_explicit_rules_reject():
+    # 7 ground sizes x 11,111 words of length <= 4 over -2..7: 77,777 inputs each
+    rejected = 0
+    for n in range(7):
+        for k in range(5):
+            for diffs in itertools.product(range(-2, 8), repeat=k):
+                for new, old in ((diff_to_subset, _explicit_diff_to_subset),
+                                 (diff_to_multiset, _explicit_diff_to_multiset)):
+                    got = _outcome(new, diffs, n)
+                    assert got == _outcome(old, diffs, n), (new.__name__, diffs, n)
+                    rejected += got == "rejected"
+    assert 0 < rejected < 2 * 77_777
 
 
 def test_comb_object_validation():
@@ -296,8 +346,22 @@ def test_fixed_weight_expand_weight_zero():
     assert fixed_weight_expand(generate_concat(ParamSet(4, 3, 0))) == [(0, 0, 0, 0)]
 
 
+def test_fixed_weight_size_guard_and_count():
+    for t in range(1, 6):
+        for n in range(1, 5):
+            for w in range(n * (t - 1) + 2):
+                params = ParamSet(t, n, w)
+                if params.w_eff > t:
+                    with pytest.raises(ValueError, match="fixed-weight expansion needs w <= t"):
+                        fixed_weight_size(params)
+                    continue
+                universe = enumerate_universe("fixed_weight_words", t=t, length=n + 1,
+                                              weight=params.w_eff)
+                assert fixed_weight_size(params) == len(universe), params
+
+
 def test_fixed_weight_expand_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs w <= t, got w=4 t=3"):
         fixed_weight_expand(generate_concat(ParamSet(3, 3, 4)))  # w > t
     with pytest.raises(ValueError):
         fixed_weight_expand(ucycle_subsets(5, 3))  # scheme-tagged

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -5,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwcycles import msr
-from bwcycles.grandmama import GenStats
+from bwcycles.grandmama import GenStats, iter_successor_chunks
 from bwcycles.msr import (
     check_conjecture,
     generate_msr,
     generate_reverse_colex,
+    iter_msr_chunks,
     successor_h2,
 )
 from bwcycles.oracle import enumerate_universe, verify_universal_cycle
@@ -96,6 +98,19 @@ def test_successor_h2_weight_guard():
         generate_msr(ParamSet(3, 5, 3))
     with pytest.raises(ValueError):
         generate_reverse_colex(ParamSet(3, 2, 3))
+
+
+def test_h2_streams_only_behind_its_weight_guard():
+    # the h1 stream has no switch to h2, so h2's w < t rule cannot be skipped
+    assert "msr" not in inspect.signature(iter_successor_chunks).parameters
+    with pytest.raises(TypeError):
+        iter_successor_chunks(ParamSet(3, 3, 5), msr=True)
+    with pytest.raises(ValueError, match="needs w < t"):
+        iter_msr_chunks(ParamSet(3, 3, 5))
+    with pytest.raises(ValueError, match="needs w < t"):
+        iter_msr_chunks(ParamSet(3, 3, 5), start=(0, 0, 9))  # the guard comes first
+    with pytest.raises(ValueError, match="window length"):
+        iter_msr_chunks(ParamSet(3, 3, 2), start=(0, 0))
 
 
 def test_successor_h2_bad_window():

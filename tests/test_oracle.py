@@ -108,6 +108,55 @@ def test_universe_entries_distinct():
 def test_universe_unknown_kind():
     with pytest.raises(ValueError):
         enumerate_universe("nonsense", t=1)
+    with pytest.raises(ValueError, match="unknown universe kind"):
+        verify_stream(iter([[0]]), "nonsense", t=1)
+
+
+def test_difference_universes_need_k():
+    for kind in ("subset_diff", "multiset_diff"):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            enumerate_universe(kind, n=3, k=0)
+        with pytest.raises(ValueError, match="need k >= 1"):
+            verify_stream(iter([[1]]), kind, n=3, k=0)
+
+
+def _tuple_universe_grid():
+    for n in range(8):
+        for k in range(1, 5):
+            yield "subset_diff", dict(n=n, k=k)
+            yield "multiset_diff", dict(n=n, k=k)
+    for n in range(1, 7):
+        for k in range(5):
+            yield "multiset_freq", dict(n=n, k=k)
+    for t in range(1, 5):
+        for length in range(5):
+            for weight in range(-1, length * (t - 1) + 2):
+                yield "fixed_weight_words", dict(t=t, length=length, weight=weight)
+
+
+def test_closed_form_sizes_match_the_enumeration():
+    # the cap is checked against a closed-form size; it must be the enumerated size
+    for kind, params in _tuple_universe_grid():
+        size = len(enumerate_universe(kind, **params))
+        with pytest.raises(ValueError, match=f"universe has {size} elements, above the cap"):
+            verify_stream(iter([]), kind, max_universe=size - 1, **params)
+
+
+def test_cap_checked_before_the_universe_is_enumerated(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(oracle, "enumerate_universe", must_not_run)
+    with pytest.raises(ValueError) as refused:
+        verify_stream(iter([]), "subset_diff", n=60, k=30, max_universe=10)
+    assert str(refused.value) == "universe has 118264581564861424 elements, above the cap 10"
+    for kind, params, size in [("subset_diff", dict(n=26, k=13), math.comb(26, 13)),
+                               ("multiset_freq", dict(n=12, k=9), math.comb(20, 9)),
+                               ("multiset_diff", dict(n=12, k=9), math.comb(20, 9)),
+                               ("fixed_weight_words", dict(t=2, length=40, weight=20),
+                                math.comb(40, 20))]:
+        with pytest.raises(ValueError, match=f"universe has {size} elements"):
+            verify_stream(iter([[1]]), kind, max_universe=10, **params)
 
 
 @given(st.integers(2, 3), st.integers(1, 4), st.integers(0, 6), st.randoms())
