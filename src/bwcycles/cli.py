@@ -29,7 +29,7 @@ from bwcycles.combmaps import (ENCODINGS, ENGINES, Encoding, engine_chunks, fixe
 from bwcycles.cyclejoin import FeedbackKind, build_tree
 from bwcycles.grandmama import GenStats, UCycle
 from bwcycles.msr import check_conjecture
-from bwcycles.oracle import enumerate_universe, verify_listing, verify_stream
+from bwcycles.oracle import _check_cap, enumerate_universe, verify_listing, verify_stream
 from bwcycles.words import ParamSet, parse_symbols
 
 __all__ = ["main"]
@@ -219,9 +219,8 @@ def cmd_verify(args) -> int:
 
     # every check the flags decide is made before a cycle is built or a universe enumerated
     p = cell.params
-    size = fixed_weight_size(p) if against == "fixed-weight" else cell.length
-    if size > args.max_universe:
-        raise ValueError(f"universe has {size} elements, above the cap {args.max_universe}")
+    _check_cap(fixed_weight_size(p) if against == "fixed-weight" else cell.length,
+               args.max_universe)
     if args.sequence is not None:
         tag, chunks = "user", [parse_symbols(args.sequence)]
     else:

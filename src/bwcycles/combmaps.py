@@ -17,14 +17,15 @@ the engine alphabet {0..n-k} is shifted up by one on output.
 ``ENCODINGS`` holds each encoding's facts in one row, and ``engine_chunks``
 is the one engine dispatch; the ``ucycle_*`` makers, ``decode_window`` and the
 CLI read both. The oracle enumerates its universes on its own. ``CombObject``
-is the one check of a subset or multiset, so the difference decoders are bare
-partial sums; ``fixed_weight_size`` owns the fixed-weight expansion's w <= t rule.
+is the one check of a subset or multiset, so the decoders are bare: partial
+sums, or runs of each value by its frequency; ``fixed_weight_size`` owns the
+fixed-weight expansion's w <= t rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice, repeat
 from math import comb
 from typing import Callable, Iterator, Sequence
 
@@ -126,19 +127,13 @@ def multiset_to_freq(obj: CombObject) -> Word:
 
 
 def freq_to_multiset(word: "Word | Sequence[int]", k: int) -> CombObject:
-    """Inverse of multiset_to_freq; the ground size is the word length plus one."""
+    """Inverse of multiset_to_freq: each value repeated by its frequency, then n for
+    the rest of k, which CombObject checks; the ground size is the word length plus one."""
     freqs = _symbols(word)
     n = len(freqs) + 1
-    if any(f < 0 for f in freqs):
-        raise ValueError("frequencies cannot be negative")
-    used = sum(freqs)
-    if used > k:
-        raise ValueError(f"frequencies sum to {used}, above k={k}")
-    elements = []
-    for value, f in enumerate(freqs, start=1):
-        elements.extend([value] * f)
-    elements.extend([n] * (k - used))
-    return CombObject("multiset", n, k, tuple(elements))
+    runs = chain(*(repeat(v, f) for v, f in enumerate(freqs, start=1)), repeat(n, k - sum(freqs)))
+    # one element past k is enough for CombObject to refuse, however large a frequency
+    return CombObject("multiset", n, k, tuple(islice(runs, max(k, 0) + 1)))
 
 
 def multiset_to_diff(obj: CombObject) -> Word:

@@ -16,15 +16,20 @@ only in their first symbol, one per endpoint cycle); swapping the successors of
 the two windows of every edge splices all cycles into one universal cycle. That
 splice, applied to the plain register map, is ``generic_successor``: the slow,
 obviously-correct reference the O(n)-per-symbol rules are tested against.
+``build_tree`` reads its labels from ``words.enumerate_bounded_necklaces`` and
+takes the MSR's w < t guard from ``bwcycles.msr``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
-from bwcycles.words import ParamSet, Word, _render, _symbols, necklace_info, words_iter
+from bwcycles.combmaps import fixed_weight_size
+from bwcycles.msr import _require_small_weight
+from bwcycles.words import (ParamSet, Word, _render, _symbols, enumerate_bounded_necklaces,
+                            necklace_info, words_iter)
 
 __all__ = [
     "FeedbackKind",
@@ -103,6 +108,18 @@ def _msr_pair(child: tuple[int, ...]) -> ConjugatePair:
     return ConjugatePair(sigma=(child[j + 1] + 1,) + tail, sigma_hat=(child[j + 1],) + tail)
 
 
+def _checked_parent(word: "Word | Sequence[int]", rule: Callable, span: int):
+    """``rule`` applied to a necklace that has a nonzero symbol with ``span - 1``
+    positions after it; the others are roots (0...0, and 0...0w for MSR)."""
+    syms = _symbols(word)
+    if not necklace_info(syms).is_necklace:
+        raise ValueError(f"{_render(syms)} is not a necklace")
+    if not 0 <= _first_nonzero(syms) <= len(syms) - span:
+        raise ValueError(f"{_render(syms)} is a root; it has no parent")
+    out = rule(syms)
+    return Word(out, word.t) if isinstance(word, Word) else out
+
+
 def pcr_parent(word: "Word | Sequence[int]"):
     """Parent of a nonzero necklace under the pure-cycling-register rule.
 
@@ -110,13 +127,7 @@ def pcr_parent(word: "Word | Sequence[int]"):
     same length with weight one lower. Given a Word, returns a Word; given a
     plain sequence, returns a tuple.
     """
-    syms = _symbols(word)
-    if not necklace_info(syms).is_necklace:
-        raise ValueError(f"{_render(syms)} is not a necklace")
-    if _first_nonzero(syms) < 0:
-        raise ValueError("the all-zero root has no parent")
-    out = _pcr_parent(syms)
-    return Word(out, word.t) if isinstance(word, Word) else out
+    return _checked_parent(word, _pcr_parent, 1)
 
 
 def msr_parent(word: "Word | Sequence[int]"):
@@ -126,14 +137,7 @@ def msr_parent(word: "Word | Sequence[int]"):
     the weight fixed. Defined for every weight-w necklace except the root form
     0...0w, whose first nonzero symbol is the last position.
     """
-    syms = _symbols(word)
-    if not necklace_info(syms).is_necklace:
-        raise ValueError(f"{_render(syms)} is not a necklace")
-    j = _first_nonzero(syms)
-    if j < 0 or j == len(syms) - 1:
-        raise ValueError(f"{_render(syms)} is a root; it has no parent")
-    out = _msr_parent(syms)
-    return Word(out, word.t) if isinstance(word, Word) else out
+    return _checked_parent(word, _msr_parent, 2)
 
 
 @dataclass
@@ -225,53 +229,38 @@ def build_tree(
 ) -> CycleTree:
     """Materialize the full parent-rule tree for one register.
 
-    This enumerates every necklace label, so it is meant for desk-scale
-    instances; node counts above ``max_nodes`` (default 10^6) are refused, as
-    are label scans that would provably exceed it.
+    The labels come from ``enumerate_bounded_necklaces`` (weight exactly w for
+    MSR), so this is for desk-scale instances. Trees above ``max_nodes``
+    (default 10^6) are refused, and so, before the scan, are cells with more
+    than ``max_nodes`` * L candidate words: each length-L necklace stands for
+    at most L of them. The enumerator's own 20M-word refusal also applies.
     """
-    t, n, w = params.t, params.n, params.w_eff
     if kind is FeedbackKind.MSR:
-        if w >= t:
-            raise ValueError(
-                f"missing-symbol register needs w < t, got w={w}, t={t}"
-            )
-        label_len = n + 1
-        root = (0,) * n + (w,)
+        t, n, w = _require_small_weight(params)
+        label_len, words, floor = n + 1, fixed_weight_size(params), w
+        root, parent_of, pair_of = (0,) * n + (w,), _msr_parent, _msr_pair
     else:
-        label_len = n
-        root = (0,) * n
-    if t**label_len > max_nodes * max(label_len, 1):
-        raise ValueError(
-            f"scanning {t}^{label_len} labels would exceed the {max_nodes}-node cap"
-        )
-
-    labels = []
-    for word in words_iter(t, label_len, None):
-        if kind is FeedbackKind.MSR:
-            if sum(word) != w:
-                continue
-        elif sum(word) > w:
-            continue
-        if necklace_info(word).is_necklace:
-            labels.append(word)
+        t, n, w = params.t, params.n, params.w_eff
+        label_len, words, floor = n, params.universe_size, 0
+        root, parent_of, pair_of = (0,) * n, _pcr_parent, _pcr_pair
+    if words > max_nodes * label_len:
+        raise ValueError(f"scanning {words} words would exceed the {max_nodes}-node cap")
+    necklaces = enumerate_bounded_necklaces(ParamSet(t, label_len, w))
+    labels = [nk.symbols for nk in necklaces if nk.weight >= floor]
     if len(labels) > max_nodes:
         raise ValueError(f"tree has {len(labels)} nodes, above the cap {max_nodes}")
 
-    node_set = set(labels)
     parent: dict = {root: None}
     pairs: dict = {root: None}
     kids: dict = {label: [] for label in labels}
     for label in labels:
         if label == root:
             continue
-        if kind is FeedbackKind.MSR:
-            par, pair = _msr_parent(label), _msr_pair(label)
-        else:
-            par, pair = _pcr_parent(label), _pcr_pair(label)
-        if par not in node_set:
+        par = parent_of(label)
+        if par not in kids:
             raise RuntimeError(f"parent {_render(par)} of {_render(label)} left the node set")
         parent[label] = par
-        pairs[label] = pair
+        pairs[label] = pair_of(label)
         kids[par].append(label)
 
     change_index = {label: _change_index(label) for label in labels}

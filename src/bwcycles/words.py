@@ -209,18 +209,14 @@ def _colex_key(word: tuple[int, ...]) -> tuple[int, ...]:
 def enumerate_bounded_necklaces(params: ParamSet) -> list[Word]:
     """All necklaces of length n over {0..t-1} with weight <= w, in colex order.
 
-    Brute force by design (scan all t^n words); this is the reference
-    enumeration the fast generators are tested against, so it stays simple.
-    Refuses absurd scans rather than hanging.
+    Brute force by design (test every word of ``words_iter(t, n, w)``); this is
+    the reference enumeration the fast generators are tested against, so it
+    stays simple. Refuses scans of more than 20M words rather than hanging.
     """
-    t, n, w = params.t, params.n, params.w_eff
-    if t**n > 20_000_000:
-        raise ValueError(f"refusing to scan {t}^{n} words; this enumerator is for small instances")
-    found = [
-        word
-        for word in product(range(t), repeat=n)
-        if sum(word) <= w and _period_count(word, n)[0] > 0
-    ]
+    t, n, w, size = params.t, params.n, params.w_eff, params.universe_size
+    if size > 20_000_000:
+        raise ValueError(f"refusing to scan {size} words; this enumerator is for small instances")
+    found = [word for word in words_iter(t, n, w) if _period_count(word, n)[0] > 0]
     found.sort(key=_colex_key)
     return [Word(syms, t) for syms in found]
 
@@ -247,7 +243,21 @@ def count_bounded_words(t: int, n: int, w: int) -> int:
 
 
 def words_iter(t: int, n: int, w: int | None = None) -> Iterable[tuple[int, ...]]:
-    """Iterate every length-n word over {0..t-1}, optionally weight-bounded."""
-    for word in product(range(t), repeat=n):
-        if w is None or sum(word) <= w:
-            yield word
+    """Every length-n word over {0..t-1} with weight <= w, lazily, in lexicographic
+    order; no prefix heavier than w is extended (``product`` when w does not bind)."""
+    if w is None or w >= n * (t - 1):
+        yield from product(range(t), repeat=n)
+        return
+    word, weight = [0] * n, 0
+    while w >= 0:
+        yield tuple(word)
+        # odometer step: clear trailing positions that cannot grow, bump the next
+        i = n - 1
+        while i >= 0 and (word[i] == t - 1 or weight == w):
+            weight -= word[i]
+            word[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        word[i] += 1
+        weight += 1

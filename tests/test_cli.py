@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bwcycles import cli, grandmama
+from bwcycles import cli, grandmama, msr
 from bwcycles.cli import main
 from bwcycles.combmaps import (
     decode_window,
@@ -192,6 +192,11 @@ def test_verify_user_sequence(capsys):
     assert code == 1
     assert report["missing"] == [[1, 1]]
     assert report["duplicated"] == [{"word": [0, 0], "count": 2}]
+    # at w = t the expansion drops one zero of the all-zero window, which 0112 lacks
+    code, out, err = run(capsys, "verify", "--t", "3", "--n", "2", "--w", "3",
+                         "--against", "fixed-weight", "--sequence", "0112")
+    assert (code, out, err) == (
+        2, "", "error: w = t expansion needs the all-zero window in the cycle\n")
 
 
 def test_verify_usage_errors(capsys):
@@ -284,9 +289,14 @@ def test_tree_outputs(capsys):
     code, _, err = run(capsys, "tree", "--kind", "pcr", "--t", "4", "--n", "9", "--w", "20",
                        "--max-nodes", "10")
     assert code == 2 and err.startswith("error:")
+    # the scan cap counts the weight-bounded words, not 4^12 or 10^7
+    code, out, _ = run(capsys, "tree", "--kind", "pcr", "--t", "4", "--n", "12", "--w", "1")
+    assert code == 0 and out.count("->") == 1
+    code, out, _ = run(capsys, "tree", "--kind", "msr", "--t", "10", "--n", "6", "--w", "2")
+    assert code == 0 and out.count("->") == 3
 
 
-def test_conjecture_single_and_sweep(capsys):
+def test_conjecture_single_and_sweep(capsys, monkeypatch):
     code, out, _ = run(capsys, "conjecture", "--t", "5", "--n", "3", "--w", "4")
     assert code == 0 and out == "t=5 n=3 w=4 equal length=35\n"
     code, out, _ = run(capsys, "conjecture", "--max-tn", "3")
@@ -301,6 +311,25 @@ def test_conjecture_single_and_sweep(capsys):
     # 8^9 words of length n+1: the reverse-colex side streams instead of scanning them
     code, out, err = run(capsys, "conjecture", "--t", "8", "--n", "8", "--w", "7")
     assert (code, out, err) == (0, "t=8 n=8 w=7 equal length=6435\n", "")
+    code, out, err = run(capsys, "conjecture", "--n", "3")
+    assert (code, out, err) == (2, "", "error: --t, --n and --w must all be given (or use --max-tn)\n")
+
+    # a divergent cell is printed as such and counted in the sweep's summary
+    real = msr.iter_reverse_colex_prefixes
+
+    def one_cell_changed(params, stats=None):
+        symbols = [s for chunk in real(params, stats) for s in chunk]
+        if (params.t, params.n, params.w) == (3, 2, 2):
+            symbols[4] = (symbols[4] + 1) % params.t
+        return iter([symbols])
+
+    monkeypatch.setattr(msr, "iter_reverse_colex_prefixes", one_cell_changed)
+    code, out, _ = run(capsys, "conjecture", "--max-tn", "3")
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[-1] == "checked 15 cells: 14 equal, 1 divergent"
+    assert [line for line in lines if "DIVERGES" in line] == [
+        "t=3 n=2 w=2 DIVERGES lengths=6/6 first_divergence=(4, 1, 2)"
+    ]
 
 
 def test_generate_stats_on_stderr(capsys):

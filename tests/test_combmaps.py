@@ -23,7 +23,7 @@ from bwcycles.combmaps import (
     ucycle_multisets_freq,
     ucycle_subsets,
 )
-from bwcycles.grandmama import generate_concat
+from bwcycles.grandmama import UCycle, generate_concat
 from bwcycles.msr import generate_msr
 from bwcycles.oracle import enumerate_universe, verify_universal_cycle
 from bwcycles.words import ParamSet, Word
@@ -126,6 +126,16 @@ def _explicit_diff_to_multiset(diffs, n):
     return CombObject("multiset", n, len(diffs), tuple(elements))
 
 
+def _explicit_freq_to_multiset(freqs, k):
+    n = len(freqs) + 1
+    if any(f < 0 for f in freqs):
+        raise ValueError("frequencies cannot be negative")
+    if sum(freqs) > k:
+        raise ValueError(f"frequencies sum to {sum(freqs)}, above k={k}")
+    elements = [value for value, f in enumerate(freqs, start=1) for _ in range(f)]
+    return CombObject("multiset", n, k, tuple(elements) + (n,) * (k - sum(freqs)))
+
+
 def _outcome(decode, diffs, n):
     try:
         return decode(diffs, n)
@@ -134,17 +144,22 @@ def _outcome(decode, diffs, n):
 
 
 def test_diff_decoders_reject_exactly_what_the_explicit_rules_reject():
-    # 7 ground sizes x 11,111 words of length <= 4 over -2..7: 77,777 inputs each
+    # 7 ground sizes (k for the frequency decoder) x 11,111 words of length <= 4
+    # over -2..7: 77,777 inputs each
     rejected = 0
     for n in range(7):
         for k in range(5):
             for diffs in itertools.product(range(-2, 8), repeat=k):
                 for new, old in ((diff_to_subset, _explicit_diff_to_subset),
-                                 (diff_to_multiset, _explicit_diff_to_multiset)):
+                                 (diff_to_multiset, _explicit_diff_to_multiset),
+                                 (freq_to_multiset, _explicit_freq_to_multiset)):
                     got = _outcome(new, diffs, n)
                     assert got == _outcome(old, diffs, n), (new.__name__, diffs, n)
                     rejected += got == "rejected"
-    assert 0 < rejected < 2 * 77_777
+    assert 0 < rejected < 3 * 77_777
+    # a huge frequency is refused without building its run
+    with pytest.raises(ValueError, match="expected 2 elements, got 3"):
+        freq_to_multiset((10**12, 0), 2)
 
 
 def test_comb_object_validation():
@@ -317,6 +332,9 @@ def test_fixed_weight_expand_w_equals_t():
         (2, 0, 1),
     ]
     assert set(words) == set(enumerate_universe("fixed_weight_words", t=3, length=3, weight=3))
+    # the collapse needs an all-zero window to drop a symbol from
+    with pytest.raises(ValueError, match="w = t expansion needs the all-zero window in the cycle"):
+        fixed_weight_expand(UCycle((0, 1, 1, 2), ParamSet(3, 2, 3), "user"))
 
 
 def test_fixed_weight_expand_small_binary():

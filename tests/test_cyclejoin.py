@@ -28,7 +28,7 @@ def test_pcr_parent_examples():
 
 
 def test_pcr_parent_rejections():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^000 is a root; it has no parent$"):
         pcr_parent(w("000"))
     with pytest.raises(ValueError):
         pcr_parent(w("010"))  # not a necklace
@@ -121,14 +121,25 @@ def test_build_tree_pcr_222():
 
 
 def test_build_tree_msr_requires_small_weight():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"missing-symbol rule needs w < t \(got w=4, t=4\)"):
         build_tree(FeedbackKind.MSR, ParamSet(4, 3, 4))
     build_tree(FeedbackKind.MSR, ParamSet(4, 3, 3))  # w = t-1 is fine
 
 
 def test_build_tree_node_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scanning 1048576 words would exceed the 100-node cap"):
         build_tree(FeedbackKind.PCR, ParamSet(2, 20, 20), max_nodes=100)
+    # 8 words of length 3 pass the scan bound of 3 * 3, then the 4 necklaces exceed 3
+    with pytest.raises(ValueError, match="^tree has 4 nodes, above the cap 3$"):
+        build_tree(FeedbackKind.PCR, ParamSet(2, 3, 3), max_nodes=3)
+
+
+def test_build_tree_cap_counts_only_the_weight_bounded_words():
+    # 4^12 and 10^7 words in all, but only 37 of weight <= 1 and 28 of weight 2
+    pcr = build_tree(FeedbackKind.PCR, ParamSet(4, 12, 1))
+    assert pcr.preorder() == [(0,) * 12, (0,) * 11 + (1,)]
+    msr = build_tree(FeedbackKind.MSR, ParamSet(10, 6, 2))
+    assert msr.preorder() == [w("0000002"), w("0000011"), w("0000101"), w("0001001")]
 
 
 def test_degenerate_trees():

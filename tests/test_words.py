@@ -14,6 +14,7 @@ from bwcycles.words import (
     enumerate_bounded_necklaces,
     necklace_info,
     weight,
+    words_iter,
 )
 
 
@@ -166,6 +167,22 @@ def test_enumerate_bounded_necklaces_properties(t, n, w):
         if sum(word) <= w and necklace_by_rotations(word)
     }
     assert set(syms) == expected
+
+
+@pytest.mark.parametrize("t", range(5))
+def test_words_iter_is_the_filtered_product(t):
+    for n in range(6):
+        for w in (None, *range(-1, n * max(t - 1, 0) + 2)):
+            expected = [x for x in product(range(t), repeat=n) if w is None or sum(x) <= w]
+            assert list(words_iter(t, n, w)) == expected, (t, n, w)
+
+
+def test_words_iter_prunes_heavy_prefixes():
+    # 31 words of weight <= 1 out of 2^30: only a pruned scan finishes at once
+    assert sum(1 for _ in words_iter(2, 30, 1)) == 31
+    assert len(enumerate_bounded_necklaces(ParamSet(2, 30, 1))) == 2
+    with pytest.raises(ValueError, match="refusing to scan 129140163 words"):
+        enumerate_bounded_necklaces(ParamSet(3, 17, 34))
 
 
 def test_count_bounded_words():
