@@ -28,8 +28,8 @@ from typing import Callable, Sequence
 
 from bwcycles.combmaps import fixed_weight_size
 from bwcycles.msr import _require_small_weight
-from bwcycles.words import (ParamSet, Word, _render, _symbols, enumerate_bounded_necklaces,
-                            necklace_info, words_iter)
+from bwcycles.words import (MAX_SCAN_WORDS, ParamSet, Word, _render, _symbols,
+                            enumerate_bounded_necklaces, necklace_info, words_iter)
 
 __all__ = [
     "FeedbackKind",
@@ -233,7 +233,8 @@ def build_tree(
     MSR), so this is for desk-scale instances. Trees above ``max_nodes``
     (default 10^6) are refused, and so, before the scan, are cells with more
     than ``max_nodes`` * L candidate words: each length-L necklace stands for
-    at most L of them. The enumerator's own 20M-word refusal also applies.
+    at most L of them. So are cells whose scan, every length-L word of weight
+    at most w, is longer than the enumerator's ``MAX_SCAN_WORDS``.
     """
     if kind is FeedbackKind.MSR:
         t, n, w = _require_small_weight(params)
@@ -245,7 +246,11 @@ def build_tree(
         root, parent_of, pair_of = (0,) * n, _pcr_parent, _pcr_pair
     if words > max_nodes * label_len:
         raise ValueError(f"scanning {words} words would exceed the {max_nodes}-node cap")
-    necklaces = enumerate_bounded_necklaces(ParamSet(t, label_len, w))
+    scanned = ParamSet(t, label_len, w)
+    if scanned.universe_size > MAX_SCAN_WORDS:
+        raise ValueError(f"tree would scan {scanned.universe_size} words, above the"
+                         f" {MAX_SCAN_WORDS}-word limit of the necklace scan")
+    necklaces = enumerate_bounded_necklaces(scanned)
     labels = [nk.symbols for nk in necklaces if nk.weight >= floor]
     if len(labels) > max_nodes:
         raise ValueError(f"tree has {len(labels)} nodes, above the cap {max_nodes}")

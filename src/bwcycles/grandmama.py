@@ -100,7 +100,7 @@ def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Ite
 
     Concatenating the chunks gives the universal cycle. Memory stays O(n * t)
     no matter how long the output is; chunks are fresh lists the caller may
-    keep. All necklace tests are tallied in ``stats``.
+    keep. All necklace tests, one per candidate child, are tallied in ``stats``.
     """
     return _necklace_walk(params.t, params.n, params.w_eff, 0, 1, stats)
 
@@ -113,10 +113,21 @@ def _necklace_walk(t, n, w, floor, step, stats):
     position when ``step`` is 1 (colex order) or decreasing when it is -1. The
     walk keeps one shared scratch word and an explicit stack.
 
-    Children are discovered by first probing the increment at the node's change
-    index, then scanning positions to its left; the root is the all-zero word,
-    with change index n-1. Each yielded child is re-tested on entry to learn its
-    period; the root's period is 1 and costs no test.
+    Every node except the root is 0^i a_i..a_(n-1) with a_i >= 1, where i, its
+    change index, is the position its parent bumped; the root is the all-zero
+    word, with change index n-1. Children are discovered by first probing the
+    increment at i, then scanning positions j to its left (setting a_j = 1)
+    until a test fails or j < i // 2, below which 0^j 1 0^(i-1-j) a_i.. has a
+    zero run longer than its leading one and is no necklace. Each test's period
+    is kept for the child it found, so every candidate is tested exactly once;
+    the root's period is 1 and costs no test.
+
+    Besides the scratch word, memory is one frame per node with children on
+    the current path (at most w + 1) and the kept periods of the children not
+    yet entered. Those are at most n in all when ``step`` is 1 (each frame
+    holds the positions between its entered child and its own change index),
+    and at most n per frame when it is -1. That is O(n * t) for the colex walk,
+    and for the reverse walk whenever w < t.
     """
     a = [0] * n
     tmax = t - 1
@@ -131,22 +142,25 @@ def _necklace_walk(t, n, w, floor, step, stats):
             return
         # one frame per node with children on the current path, the root included
         # (with w >= 1 it has the child 0...01, so every leaf has a parent frame):
-        # [next_child_pos, stop_pos, node_weight, change_index]
+        # [periods of the children left, in reverse visiting order,
+        #  next child's position, child weight, change_index]
         stack = []
         i, wt = n - 1, 0
         while True:
-            start = stop = i
+            ps = []
             if wt < w:
-                c_ok = False
+                # the children's periods by decreasing position: probe, then scan
                 if a[i] < tmax:
                     a[i] += 1
                     p, it = _period_count(a, n)
                     a[i] -= 1
                     tests += 1
                     iters += it
-                    c_ok = p > 0
+                    if p:
+                        ps.append(p)
                 j = i - 1
-                while j >= 0:
+                half = i // 2
+                while j >= half:
                     a[j] = 1
                     p, it = _period_count(a, n)
                     a[j] = 0
@@ -154,32 +168,33 @@ def _necklace_walk(t, n, w, floor, step, stats):
                     iters += it
                     if p == 0:
                         break
+                    ps.append(p)
                     j -= 1
-                # the children bump positions j+1 .. last
-                last = i if c_ok else i - 1
-                start, stop = (j + 1, last + 1) if step > 0 else (last, j)
-            if start != stop:
-                fr = [start, stop, wt, i]
+            if ps:
+                # the children bump positions j+1 .. j+len(ps)
+                if step > 0:
+                    fr = [ps, j + 1, wt + 1, i]
+                else:
+                    ps.reverse()
+                    fr = [ps, j + len(ps), wt + 1, i]
                 stack.append(fr)
             else:
                 a[i] -= 1
                 fr = stack[-1]
                 # climb out of every node whose children are done
-                while fr[0] == fr[1]:
+                while not fr[0]:
                     stack.pop()
                     if not stack:
                         return
                     a[fr[3]] -= 1
                     fr = stack[-1]
-            i = fr[0]
-            fr[0] = i + step
+            i = fr[1]
+            fr[1] = i + step
             # enter the child that bumps position i
             a[i] += 1
-            wt = fr[2] + 1
+            wt = fr[2]
+            p = fr[0].pop()
             if wt >= floor:
-                p, it = _period_count(a, n)
-                tests += 1
-                iters += it
                 yield a[:p]
                 symbols += p
     finally:

@@ -162,6 +162,23 @@ def _check_cap(size: int, max_universe: int) -> None:
         raise ValueError(f"universe has {size} elements, above the cap {max_universe}")
 
 
+def _capped_set(universe: Iterable[Sequence[int]], max_universe: int) -> set:
+    """The universe as a set of tuples, refused as soon as it holds more than
+    ``max_universe`` words: past its duplicates, at most ``max_universe`` + 1
+    words are read, so an oversized universe is never enumerated in full."""
+    words = map(tuple, universe)
+    expected: set = set()
+    while True:
+        room = max(max_universe + 1 - len(expected), 0)
+        batch = list(islice(words, room))
+        expected.update(batch)
+        if len(expected) > max_universe:
+            raise ValueError(
+                f"universe has more than {max_universe} elements, above the cap {max_universe}")
+        if len(batch) < room:
+            return expected
+
+
 def _bounded_size(t: int, n: int, w: int) -> int:
     return _weight_fold(t, n, w, 1, lambda k: 0, sum)
 
@@ -350,8 +367,7 @@ def verify_universal_cycle(
     Universes larger than ``max_universe`` are refused.
     """
     symbols, n = _cycle_fields(cycle, window_len)
-    expected = set(map(tuple, universe))
-    _check_cap(len(expected), max_universe)
+    expected = _capped_set(universe, max_universe)
     return _verify((symbols,), _coded(expected, n), full_details)
 
 
@@ -385,8 +401,7 @@ def verify_listing(
     taken as-is (the fixed-weight expansion of a cycle, for instance) and
     compared against the universe as a multiset.
     """
-    expected = set(map(tuple, universe))
-    _check_cap(len(expected), max_universe)
+    expected = _capped_set(universe, max_universe)
     seen = Counter(map(tuple, words))
     window_len = len(next(iter(seen), next(iter(expected), ())))
     return _report(*_word_lists(seen, expected), window_len, sum(seen.values()), len(expected),

@@ -202,6 +202,10 @@ def necklace_info(word: "Word | Sequence[int]") -> NecklaceInfo:
     return NecklaceInfo(True, p)
 
 
+# the most words the brute-force necklace enumerator scans before refusing
+MAX_SCAN_WORDS = 20_000_000
+
+
 def _colex_key(word: tuple[int, ...]) -> tuple[int, ...]:
     return word[::-1]
 
@@ -211,10 +215,11 @@ def enumerate_bounded_necklaces(params: ParamSet) -> list[Word]:
 
     Brute force by design (test every word of ``words_iter(t, n, w)``); this is
     the reference enumeration the fast generators are tested against, so it
-    stays simple. Refuses scans of more than 20M words rather than hanging.
+    stays simple. Refuses scans of more than ``MAX_SCAN_WORDS`` words rather
+    than hanging.
     """
     t, n, w, size = params.t, params.n, params.w_eff, params.universe_size
-    if size > 20_000_000:
+    if size > MAX_SCAN_WORDS:
         raise ValueError(f"refusing to scan {size} words; this enumerator is for small instances")
     found = [word for word in words_iter(t, n, w) if _period_count(word, n)[0] > 0]
     found.sort(key=_colex_key)

@@ -296,6 +296,14 @@ def test_tree_outputs(capsys):
     assert code == 0 and out.count("->") == 3
 
 
+def test_tree_refuses_scans_past_the_enumerator_limit(capsys):
+    # 23,242,039 words of weight <= 7 pass the node cap's 40 * 10^6 bound
+    code, out, err = run(capsys, "tree", "--kind", "pcr", "--t", "2", "--n", "40", "--w", "7")
+    assert code == 2 and out == ""
+    assert err == ("error: tree would scan 23242039 words, above the 20000000-word limit"
+                   " of the necklace scan\n")
+
+
 def test_conjecture_single_and_sweep(capsys, monkeypatch):
     code, out, _ = run(capsys, "conjecture", "--t", "5", "--n", "3", "--w", "4")
     assert code == 0 and out == "t=5 n=3 w=4 equal length=35\n"

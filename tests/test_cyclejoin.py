@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bwcycles import cyclejoin
 from bwcycles.cyclejoin import (
     ConjugatePair,
     CycleTree,
@@ -13,7 +16,7 @@ from bwcycles.cyclejoin import (
     msr_parent,
     pcr_parent,
 )
-from bwcycles.words import ParamSet, Word
+from bwcycles.words import MAX_SCAN_WORDS, ParamSet, Word
 
 
 def w(text):
@@ -132,6 +135,21 @@ def test_build_tree_node_cap():
     # 8 words of length 3 pass the scan bound of 3 * 3, then the 4 necklaces exceed 3
     with pytest.raises(ValueError, match="^tree has 4 nodes, above the cap 3$"):
         build_tree(FeedbackKind.PCR, ParamSet(2, 3, 3), max_nodes=3)
+
+
+def test_build_tree_refuses_scans_past_the_enumerator_limit(monkeypatch):
+    def must_not_run(params):
+        raise AssertionError("scanned past the limit")
+
+    monkeypatch.setattr(cyclejoin, "enumerate_bounded_necklaces", must_not_run)
+    # both pass the node cap: 23,242,039 <= 40 * 10^6 and C(27,11) <= 17 * 10^6 words,
+    # but the scans hold every word of weight <= w, here 23,242,039 and C(28,11)
+    for kind, params, scanned in [(FeedbackKind.PCR, ParamSet(2, 40, 7), 23242039),
+                                  (FeedbackKind.MSR, ParamSet(12, 16, 11), math.comb(28, 11))]:
+        with pytest.raises(ValueError) as refused:
+            build_tree(kind, params)
+        assert str(refused.value) == (f"tree would scan {scanned} words, above the"
+                                      f" {MAX_SCAN_WORDS}-word limit of the necklace scan")
 
 
 def test_build_tree_cap_counts_only_the_weight_bounded_words():

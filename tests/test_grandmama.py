@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bwcycles import grandmama
 from bwcycles.grandmama import (
     GenStats,
     UCycle,
@@ -13,7 +14,7 @@ from bwcycles.grandmama import (
     iter_successor_chunks,
     successor_h1,
 )
-from bwcycles.msr import iter_msr_chunks, successor_h2
+from bwcycles.msr import iter_msr_chunks, iter_reverse_colex_prefixes, successor_h2
 from bwcycles.oracle import enumerate_universe, verify_universal_cycle
 from bwcycles.words import ParamSet, Word, enumerate_bounded_necklaces, necklace_info, words_iter
 
@@ -61,6 +62,58 @@ def test_concat_matches_brute_reference():
                 assert generate_concat(params).symbols == brute_concat(params), (t, n, w)
 
 
+def _brute_necklaces(t, length, max_weight):
+    """(word, period) of every necklace of this length and weight <= max_weight,
+    found by comparing each word with all of its rotations."""
+    found = []
+    for word in words_iter(t, length, max_weight):
+        rotations = [word[i:] + word[:i] for i in range(1, length + 1)]
+        if word == min(rotations):
+            found.append((word, rotations.index(word) + 1))
+    return found
+
+
+def _colex(item):
+    return item[0][::-1]
+
+
+# every (t, n) with t <= 7, n <= 7 and t^n <= 3 * 10^5
+WIDE_GRID = [(t, n) for t in range(1, 8) for n in range(1, 8) if t**n <= 3 * 10**5]
+
+
+@pytest.mark.slow
+def test_walks_match_brute_force_chunk_for_chunk_on_a_wide_grid():
+    for t, n in WIDE_GRID:
+        colex = sorted(_brute_necklaces(t, n, n * (t - 1)), key=_colex)
+        for w in range(n * (t - 1) + 1):
+            expected = [list(word[:p]) for word, p in colex if sum(word) <= w]
+            assert list(iter_concat_prefixes(ParamSet(t, n, w))) == expected, (t, n, w)
+        # reverse colex: length n+1, weight exactly w < t
+        reverse = sorted(_brute_necklaces(t, n + 1, t - 1), key=_colex, reverse=True)
+        for w in range(t):
+            expected = [list(word[:p]) for word, p in reverse if sum(word) == w]
+            assert list(iter_reverse_colex_prefixes(ParamSet(t, n, w))) == expected, (t, n, w)
+
+
+def test_walks_test_each_candidate_once(monkeypatch):
+    tested = []
+    real = grandmama._period_count
+
+    def recording(a, n):
+        tested.append(tuple(a[:n]))
+        return real(a, n)
+
+    monkeypatch.setattr(grandmama, "_period_count", recording)
+    for walk, (t, n, w) in [(iter_concat_prefixes, (4, 6, 9)), (iter_concat_prefixes, (5, 4, 8)),
+                            (iter_reverse_colex_prefixes, (5, 4, 4)),
+                            (iter_reverse_colex_prefixes, (7, 5, 6))]:
+        tested.clear()
+        stats = GenStats()
+        chunks = list(walk(ParamSet(t, n, w), stats))
+        assert chunks and tested, (walk.__name__, t, n, w)
+        assert len(set(tested)) == len(tested) == stats.necklace_tests, (walk.__name__, t, n, w)
+
+
 def test_concat_length_is_universe_size():
     for t, n, w in [(2, 6, 3), (3, 5, 7), (6, 3, 9), (5, 4, 4)]:
         params = ParamSet(t, n, w)
@@ -87,7 +140,7 @@ def test_concat_weight_clamping_reported():
 def test_concat_stats_pinned():
     # (necklace_tests, comparisons, symbols) of the colex walk; perfbench's
     # tests-per-symbol drift check reads these counts
-    for (t, n, w), expected in [((4, 6, 9), (1130, 4827, 2338)), ((5, 3, 4), (30, 56, 35))]:
+    for (t, n, w), expected in [((4, 6, 9), (597, 2678, 2338)), ((5, 3, 4), (15, 29, 35))]:
         stats = GenStats()
         chunks = list(iter_concat_prefixes(ParamSet(t, n, w), stats))
         assert sum(map(len, chunks)) == expected[2], (t, n, w)

@@ -68,6 +68,25 @@ def test_verify_cap():
         verify_universal_cycle([0], [(i,) for i in range(11)], window_len=1, max_universe=10)
 
 
+def test_iterable_universe_read_only_up_to_the_cap():
+    # product(range(10), repeat=6) is a million words; refusing it must not read them all
+    read = []
+
+    def counted():
+        for word in product(range(10), repeat=6):
+            read.append(word)
+            yield word
+
+    refusal = "^universe has more than 10 elements, above the cap 10$"
+    for verify in (lambda: verify_universal_cycle([0] * 6, counted(), window_len=6,
+                                                  max_universe=10),
+                   lambda: verify_listing([(0,) * 6], counted(), max_universe=10)):
+        read.clear()
+        with pytest.raises(ValueError, match=refusal):
+            verify()
+        assert len(read) <= 11
+
+
 def test_verify_window_len_required():
     with pytest.raises(ValueError):
         verify_universal_cycle([0, 1], [(0,), (1,)])
@@ -195,10 +214,17 @@ def _reference_report(seen, expected, window_len, total, full_details):
                         unexpected, truncated)
 
 
-def _reference_verify(symbols, universe, n, max_universe, full_details):
-    expected = set(tuple(w) for w in universe)
+def _refuse_above_cap(expected, max_universe, size_known):
+    """The cap error. A universe known by name or by its coded set reports its
+    size; one read from an iterable is refused after max_universe + 1 words."""
     if len(expected) > max_universe:
-        raise ValueError(f"universe has {len(expected)} elements, above the cap {max_universe}")
+        size = len(expected) if size_known else f"more than {max_universe}"
+        raise ValueError(f"universe has {size} elements, above the cap {max_universe}")
+
+
+def _reference_verify(symbols, universe, n, max_universe, full_details, size_known=True):
+    expected = set(tuple(w) for w in universe)
+    _refuse_above_cap(expected, max_universe, size_known)
     length = len(symbols)
     if length == 0:
         raise ValueError("cannot verify an empty cycle")
@@ -208,8 +234,7 @@ def _reference_verify(symbols, universe, n, max_universe, full_details):
 
 def _reference_listing(words, universe, max_universe, full_details):
     expected = set(tuple(w) for w in universe)
-    if len(expected) > max_universe:
-        raise ValueError(f"universe has {len(expected)} elements, above the cap {max_universe}")
+    _refuse_above_cap(expected, max_universe, False)
     seen = Counter(tuple(w) for w in words)
     window_len = len(next(iter(seen), next(iter(expected), ())))
     return _reference_report(seen, expected, window_len, sum(seen.values()), full_details)
@@ -256,7 +281,8 @@ def test_verify_matches_reference(case, full_details, max_universe):
     symbols, universe, n = case
     new = _outcome(verify_universal_cycle, symbols, universe, window_len=n,
                    max_universe=max_universe, full_details=full_details)
-    assert new == _outcome(_reference_verify, symbols, universe, n, max_universe, full_details)
+    assert new == _outcome(_reference_verify, symbols, universe, n, max_universe, full_details,
+                           size_known=False)
     cycle = UCycle(tuple(symbols), ParamSet(1, n, 0), "test")  # the window length comes from n
     assert _outcome(verify_universal_cycle, cycle, universe, max_universe=max_universe,
                     full_details=full_details) == new
