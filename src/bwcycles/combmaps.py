@@ -163,21 +163,24 @@ def engine_chunks(
 ) -> tuple[str, Iterator[Sequence[int]]]:
     """Start one engine on one word cell: (engine tag, chunks of the cycle's symbols).
 
-    Errors are raised here, not at the first chunk. A ``start`` window switches
-    grandmama to its successor rule and ``steps`` bounds successor calls; the
-    two concatenation walks take neither.
+    Errors are raised here, not at the first chunk. Unseeded, grandmama runs
+    the colex concatenation walk and msr the reverse-colex one, which emits the
+    same symbols as the h2 rule on every cell checked (``msr.check_conjecture``
+    and the tests compare the two). A ``start`` window switches grandmama to h1
+    and msr to h2, and ``steps`` bounds those successor calls; the
+    concatenation walks take neither.
     """
     if engine == "grandmama":
         if start is None:
             return "grandmama-concat", iter_concat_prefixes(params, stats)
         return "grandmama-successor", iter_successor_chunks(params, start, steps, stats)
-    if engine == "msr":
+    if engine == "msr" and start is not None:
         return "msr", iter_msr_chunks(params, start, steps, stats)
-    if engine != "reverse-colex":
+    if engine not in ("msr", "reverse-colex"):
         raise ValueError(f"unknown engine {engine!r}")
     if start is not None:
         raise ValueError("reverse-colex takes no start window")
-    return "reverse-colex", iter_reverse_colex_prefixes(params, stats)
+    return engine, iter_reverse_colex_prefixes(params, stats)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,11 @@ missing symbol in the lead, and ``iter_msr_chunks`` streams it.
 ``iter_reverse_colex_prefixes`` streams the concatenation of aperiodic
 prefixes of the weight-w necklaces in reverse colex order, through the same
 necklace walk as the colex concatenation, and ``check_conjecture`` compares
-the two streams symbol by symbol. Their equality is an observation, not a
-contract: nothing in this package relies on it.
+the two streams symbol by symbol. Their equality is observed, not proved, and
+``combmaps.engine_chunks`` relies on it: an unseeded ``msr`` run (the CLI's
+included) streams the walk, which is about three times faster, and only a
+seeded one runs h2. ``generate_msr`` and ``iter_msr_chunks`` always run h2,
+so the comparison and the tests keep checking the equality.
 """
 
 from __future__ import annotations
@@ -161,9 +164,11 @@ def check_conjecture(params: ParamSet) -> ConjectureReport:
 
     Both sequences are anchored at the all-zero window (the reverse-colex
     concatenation starts with the 0...0w necklace, so its first n symbols are
-    zeros). Divergence is reported, not raised: the equality is an open
-    observation and downstream code must keep working if a counterexample
-    ever shows up. The shorter stream reads as -1 past its end.
+    zeros). Divergence is reported, not raised, so a sweep lists every
+    divergent cell. The equality is an open observation that unseeded ``msr``
+    runs in ``combmaps.engine_chunks`` rely on, so a divergent cell would mean
+    that those runs emit the reverse-colex sequence rather than h2's there.
+    The shorter stream reads as -1 past its end.
     """
     lengths = [0, 0]
 

@@ -10,6 +10,7 @@ import pytest
 from bwcycles import cli, grandmama, msr
 from bwcycles.cli import main
 from bwcycles.combmaps import (
+    ENCODINGS,
     decode_window,
     ucycle_multisets_diff,
     ucycle_multisets_freq,
@@ -340,6 +341,14 @@ def test_conjecture_single_and_sweep(capsys, monkeypatch):
     ]
 
 
+def _reverse_colex_head(p, stats, limit):
+    """The first ``limit`` symbols of the reverse-colex walk, cut as the CLI cuts them."""
+    chunks = iter_reverse_colex_prefixes(p, stats)
+    head = tuple(chain.from_iterable(cli._take(chunks, limit)))
+    chunks.close()
+    return UCycle(head, p, "reverse-colex")
+
+
 def test_generate_stats_on_stderr(capsys):
     code, out, err = run(capsys, "generate", "--t", "5", "--n", "3", "--w", "4",
                          "--format", "compact", "--stats")
@@ -354,24 +363,20 @@ def test_generate_stats_on_stderr(capsys):
     assert err.startswith("stats: symbols=5 ")
 
     # a successor or reverse-colex run counts exactly what the library does for the
-    # same cycle; a cut concatenation walk stops after the chunk that reaches the limit
+    # same cycle; a cut concatenation walk stops after the chunk that reaches the limit.
+    # Unseeded msr streams the reverse-colex walk, seeded msr runs h2.
     p = ParamSet(5, 3, 4)
-
-    def reverse_colex_head(stats, limit):
-        chunks = iter_reverse_colex_prefixes(p, stats)
-        head = tuple(chain.from_iterable(cli._take(chunks, limit)))
-        chunks.close()
-        return UCycle(head, p, "reverse-colex")
-
     for flags, build in [
-        (("--engine", "msr"), lambda stats: generate_msr(p, stats=stats)),
+        (("--engine", "msr"), lambda stats: generate_reverse_colex(p, stats=stats)),
+        (("--engine", "msr", "--seed-window", "0,0,4"),
+         lambda stats: generate_msr(p, start=(0, 0, 4), stats=stats)),
         (("--seed-window", "0,0,4"),
          lambda stats: generate_by_successor(p, start=(0, 0, 4), stats=stats)),
         (("--seed-window", "0,0,4", "--limit", "10"),
          lambda stats: generate_by_successor(p, start=(0, 0, 4), steps=10 - p.n, stats=stats)),
         (("--engine", "reverse-colex"), lambda stats: generate_reverse_colex(p, stats=stats)),
         (("--engine", "reverse-colex", "--limit", "10"),
-         lambda stats: reverse_colex_head(stats, 10)),
+         lambda stats: _reverse_colex_head(p, stats, 10)),
     ]:
         stats = GenStats()
         cycle = build(stats)
@@ -387,7 +392,10 @@ def test_generate_stats_across_successor_chunks(capsys):
     p, limit = ParamSet(10, 7, 9), 10_000
     assert p.universe_size > limit > 2 * grandmama.SUCCESSOR_CHUNK
     for flags, build in [
-        (("--engine", "msr"), lambda stats: generate_msr(p, steps=limit - p.n, stats=stats)),
+        (("--engine", "msr"), lambda stats: _reverse_colex_head(p, stats, limit)),
+        (("--engine", "msr", "--seed-window", "0,1,0,2,0,0,3"),
+         lambda stats: generate_msr(p, start=(0, 1, 0, 2, 0, 0, 3), steps=limit - p.n,
+                                    stats=stats)),
         (("--seed-window", "0,1,0,2,0,0,3"),
          lambda stats: generate_by_successor(p, start=(0, 1, 0, 2, 0, 0, 3), steps=limit - p.n,
                                              stats=stats)),
@@ -397,7 +405,9 @@ def test_generate_stats_across_successor_chunks(capsys):
         code, out, err = run(capsys, "generate", "--t", "10", "--n", "7", "--w", "9",
                              "--format", "compact", "--stats", "--limit", str(limit), *flags)
         assert code == 0 and out.strip() == str(cycle), flags
-        assert len(cycle) == stats.symbols == limit, flags
+        assert len(cycle) == limit, flags
+        if "--seed-window" in flags:  # a successor run stops at the last kept symbol
+            assert stats.symbols == limit, flags
         assert err == (f"stats: symbols={limit} necklace_tests={stats.necklace_tests}"
                        f" comparisons={stats.comparisons}\n"), flags
 
@@ -511,6 +521,43 @@ def test_decode_matches_library_at_every_position(capsys, monkeypatch):
                 code, out, err = run(capsys, *argv, str(position))
                 expected = f"error: position {position} outside 0..{last}\n"
                 assert (code, out, err) == (2, "", expected), (argv, position)
+
+
+def _h2_dispatch(params, engine, start=None, steps=None, stats=None):
+    """An msr dispatch that runs h2 seeded or not: the reference for unseeded msr runs."""
+    assert engine == "msr"
+    return "msr", msr.iter_msr_chunks(params, start, steps, stats)
+
+
+@pytest.mark.slow
+def test_unseeded_msr_output_matches_h2(capsys, monkeypatch):
+    # unseeded msr streams the reverse-colex walk; each argv runs as shipped and then
+    # with msr forced onto h2, and stdout, stderr and the exit code must agree exactly
+    argvs = []
+    for t in range(1, 7):
+        for n in range(1, 6):
+            for w in range(t + 1):  # w = t: the refusal both paths share
+                cell = ["--t", str(t), "--n", str(n), "--w", str(w), "--engine", "msr"]
+                length = ParamSet(t, n, w).universe_size
+                argvs.append(["verify", *cell])
+                for fmt in FORMATS:
+                    for limit in dict.fromkeys((0, 1, n, 4095, 4096, 4097, length, length + 5)):
+                        argvs.append(["generate", *cell, "--format", fmt, "--limit", str(limit)])
+                    argvs.append(["generate", *cell, "--format", fmt])
+    kinds = [("subsets", n, k) for n in range(1, 8) for k in range(1, n + 1)]
+    kinds += [(kind, n, k) for kind in ("multisets-freq", "multisets-diff")
+              for n in range(1, 6) for k in range(1, 6)]
+    for kind, n, k in kinds:
+        cell = [f"--{kind}", str(n), str(k), "--engine", "msr"]
+        argvs.append(["verify", *cell])
+        argvs += [["generate", *cell, "--format", fmt] for fmt in FORMATS]
+        argvs += [["decode", *cell, "--position", str(position)]
+                  for position in range(ENCODINGS[kind].length(n, k))]
+    shipped = [run(capsys, *argv) for argv in argvs]
+    assert sum(code == 0 for code, _, _ in shipped) > 3000
+    monkeypatch.setattr(cli, "engine_chunks", _h2_dispatch)
+    for argv, got in zip(argvs, shipped):
+        assert run(capsys, *argv) == got, argv
 
 
 def test_generate_into_closed_pipe_exits_quietly():

@@ -24,7 +24,7 @@ from bwcycles.combmaps import (
     ucycle_subsets,
 )
 from bwcycles.grandmama import UCycle, generate_concat
-from bwcycles.msr import generate_msr
+from bwcycles.msr import generate_msr, iter_msr_chunks
 from bwcycles.oracle import enumerate_universe, verify_universal_cycle
 from bwcycles.words import ParamSet, Word
 
@@ -234,6 +234,30 @@ def test_ucycle_subsets_bad_args():
         ucycle_subsets(6, 3, engine="colex")
     with pytest.raises(ValueError, match="no start window"):
         engine_chunks(ParamSet(3, 2, 2), "reverse-colex", start=(0, 0))
+
+
+def test_unseeded_msr_dispatch_emits_the_h2_bytes():
+    # unseeded msr streams the reverse-colex walk; it must emit exactly h2's symbols
+    cells = 0
+    for t in range(1, 9):
+        for n in range(1, 7):
+            if t ** (n + 1) > 10**6:
+                continue
+            for w in range(t):
+                p = ParamSet(t, n, w)
+                tag, chunks = engine_chunks(p, "msr")
+                assert tag == "msr"
+                assert list(itertools.chain.from_iterable(chunks)) == list(
+                    itertools.chain.from_iterable(iter_msr_chunks(p))), p
+                cells += 1
+    assert cells == 208
+    # the w >= t refusal is h2's, word for word
+    for p in (ParamSet(3, 2, 3), ParamSet(4, 3, 5)):
+        with pytest.raises(ValueError) as expected:
+            iter_msr_chunks(p)
+        with pytest.raises(ValueError) as got:
+            engine_chunks(p, "msr")
+        assert str(got.value) == str(expected.value)
 
 
 # --- multiset universal cycles -------------------------------------------
