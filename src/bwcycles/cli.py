@@ -272,6 +272,8 @@ def cmd_conjecture(args) -> int:
     if args.max_tn is not None:
         if args.t is not None or args.n is not None or args.w is not None:
             raise ValueError("give either --max-tn or a single --t/--n/--w cell, not both")
+        if args.max_tn < 2:
+            raise ValueError(f"--max-tn must be at least 2, got {args.max_tn}")
         for t in range(2, args.max_tn + 1):
             for n in range(1, args.max_tn + 1):
                 for w in range(t):
@@ -287,7 +289,7 @@ def cmd_conjecture(args) -> int:
         print(_conjecture_line(report))
         if not report.holds:
             divergent += 1
-    if len(cells) > 1:
+    if args.max_tn is not None:
         print(f"checked {len(cells)} cells: {len(cells) - divergent} equal, {divergent} divergent")
     return 0
 

@@ -24,7 +24,7 @@ fixed-weight expansion's w <= t rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain, islice, repeat
 from math import comb
 from typing import Callable, Iterator, Sequence
@@ -305,17 +305,10 @@ def fixed_weight_expand(cycle: UCycle) -> list[tuple[int, ...]]:
     if cycle.scheme is not None:
         raise ValueError("fixed-weight expansion applies to word-level cycles")
     fixed_weight_size(cycle.params)
-    t, n, w = cycle.t, cycle.n, cycle.w
-    symbols = list(cycle.symbols)
-    if w == t:
-        zero = (0,) * n
-        spot = next((i for i in range(len(symbols)) if cycle.window(i) == zero), None)
+    w = cycle.w
+    if w == cycle.t:
+        spot = next((i for i, win in enumerate(cycle.windows()) if not any(win)), None)
         if spot is None:
             raise ValueError("w = t expansion needs the all-zero window in the cycle")
-        del symbols[spot]
-    L = len(symbols)
-    out = []
-    for i in range(L):
-        win = tuple(symbols[(i + d) % L] for d in range(n))
-        out.append(win + (w - sum(win),))
-    return out
+        cycle = replace(cycle, symbols=cycle.symbols[:spot] + cycle.symbols[spot + 1:])
+    return [win + (w - sum(win),) for win in cycle.windows()]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, cycle, islice
 from typing import Iterator, Sequence
 
 from bwcycles.words import ParamSet, Word, _period_count, _render, _symbols
@@ -88,8 +88,11 @@ class UCycle:
         return tuple(self.symbols[(i + d) % L] for d in range(self.n))
 
     def windows(self) -> Iterator[tuple[int, ...]]:
-        for i in range(len(self.symbols)):
-            yield self.window(i)
+        """Every cyclic window by its start: a zip of n shifted slices of the cycle
+        and its next n-1 symbols, going round as often as a short cycle needs."""
+        L, n = len(self.symbols), self.n
+        wrap = tuple(islice(cycle(self.symbols), n - 1))
+        return zip(*(islice(chain(self.symbols, wrap), d, d + L) for d in range(n)))
 
     def __str__(self) -> str:
         return _render(self.symbols)

@@ -1,9 +1,10 @@
 """Brute-force verification: does a cyclic sequence cover a universe exactly once?
 
 This module is the independent referee for every generator in the package. It
-never calls the fast constructions or the codec layer; universes are enumerated
-from first principles (a weight recursion, weight-pruned prefix extension,
-itertools combinations) and coverage is checked by counting every window.
+never calls the fast constructions or the codec layer. Universes come from one
+table of kinds, ``_KINDS``, that gives each kind's word length, closed-form size
+and words (from ``words.words_iter`` or itertools combinations), and coverage is
+checked by counting every window.
 
 A window of n symbols from {0..t-1} is counted under its base-t code, which
 one rolling update per symbol keeps current, so the cycle is read as a stream
@@ -20,8 +21,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, combinations, combinations_with_replacement, cycle, islice
 from math import comb
-from operator import mul
-from typing import Iterable, Iterator, Sequence
+from operator import mul, sub
+from typing import Callable, Iterable, Iterator, Sequence
+
+from bwcycles.words import words_iter
 
 __all__ = ["VerifyReport", "verify_universal_cycle", "verify_stream", "verify_listing",
            "enumerate_universe"]
@@ -186,18 +189,12 @@ def _bounded_size(t: int, n: int, w: int) -> int:
 def _named(kind: str, params: dict, max_universe: int) -> _Coded:
     """The coded universe of an ``enumerate_universe`` kind, refused above the cap
     by its closed-form size before a word is enumerated."""
-    if kind == "bounded_words":
-        t, n, w = params["t"], params["n"], params["w"]
-        size = _bounded_size(t, n, w)
-        _check_cap(size, max_universe)
-        if _dense(t, n, size):
-            return _Coded(t, n, _bounded_marks(t, n, w), size)
-        return _Coded(t, n, dict.fromkeys(_bounded_codes(t, n, w), 1), size)
-    if kind not in _TUPLE_KINDS:
-        raise ValueError(f"unknown universe kind {kind!r}")
-    length, size = _TUPLE_KINDS[kind]
-    _check_cap(size(params), max_universe)
-    return _coded(set(enumerate_universe(kind, **params)), length(params))
+    length, size, words, coded = _kind(kind)
+    size = size(params)
+    _check_cap(size, max_universe)
+    if coded:
+        return coded(params, size)
+    return _coded(set(words(params)), length(params))
 
 
 def _batches(chunks: Iterable[Sequence[int]], warm: int) -> Iterator[list[int]]:
@@ -408,16 +405,6 @@ def verify_listing(
                    full_details)
 
 
-def _weight_bounded(t: int, n: int, w: int) -> list[tuple[int, ...]]:
-    """Length-n words over {0..t-1} of weight <= w in lexicographic order, never
-    extending a prefix past the bound."""
-    heads = [[(a,) for a in range(k)] for k in range(t + 1)]  # heads[k]: the k smallest 1-tuples
-    level = [()] if w >= 0 else []
-    for _ in range(n):
-        level = [p + a for p in level for a in heads[min(t, w - sum(p) + 1)]]
-    return level
-
-
 def _diff_k(p: dict) -> int:
     """k of a difference-word kind, whose first symbol needs an element."""
     if p["k"] < 1:
@@ -430,13 +417,42 @@ def _fixed_weight_size(p: dict) -> int:
     return _bounded_size(t, n, w) - _bounded_size(t, n, w - 1)
 
 
-# (word length, closed-form size) of each kind enumerated as tuples, from its parameters
-_TUPLE_KINDS = {
-    "fixed_weight_words": (lambda p: p["length"], _fixed_weight_size),
-    "subset_diff": (_diff_k, lambda p: comb(p["n"], _diff_k(p))),
-    "multiset_freq": (lambda p: p["n"] - 1, lambda p: comb(p["n"] + p["k"] - 1, p["k"])),
-    "multiset_diff": (_diff_k, lambda p: comb(p["n"] + _diff_k(p) - 1, p["k"])),
+def _diffs(combos: Callable, first: int) -> Callable[[dict], Iterator[tuple[int, ...]]]:
+    """Difference words of the sorted k-tuples ``combos`` draws from {1..n}: each
+    element's gap to the one before it, with ``first`` before the first."""
+    return lambda p: (tuple(map(sub, c, (first, *c[:-1])))
+                      for c in combos(range(1, p["n"] + 1), _diff_k(p)))
+
+
+def _bounded_coded(p: dict, size: int) -> _Coded:
+    t, n, w = p["t"], p["n"], p["w"]
+    if _dense(t, n, size):
+        return _Coded(t, n, _bounded_marks(t, n, w), size)
+    return _Coded(t, n, dict.fromkeys(_bounded_codes(t, n, w), 1), size)
+
+
+# Each kind's (word length, closed-form size, words in order, and for bounded
+# words their coding straight from the weights), from its parameters p.
+_KINDS = {
+    "bounded_words": (lambda p: p["n"], lambda p: _bounded_size(p["t"], p["n"], p["w"]),
+                      lambda p: words_iter(p["t"], p["n"], p["w"]), _bounded_coded),
+    "fixed_weight_words": (lambda p: p["length"], _fixed_weight_size,
+                           lambda p: (x for x in words_iter(p["t"], p["length"], p["weight"])
+                                      if sum(x) == p["weight"]), None),
+    "subset_diff": (_diff_k, lambda p: comb(p["n"], _diff_k(p)), _diffs(combinations, 0), None),
+    "multiset_freq": (lambda p: p["n"] - 1, lambda p: comb(p["n"] + p["k"] - 1, p["k"]),
+                      lambda p: (tuple(map(m.count, range(1, p["n"]))) for m in
+                                 combinations_with_replacement(range(1, p["n"] + 1), p["k"])),
+                      None),
+    "multiset_diff": (_diff_k, lambda p: comb(p["n"] + _diff_k(p) - 1, p["k"]),
+                      _diffs(combinations_with_replacement, 1), None),
 }
+
+
+def _kind(kind: str) -> tuple:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown universe kind {kind!r}")
+    return _KINDS[kind]
 
 
 def enumerate_universe(kind: str, **params) -> list[tuple[int, ...]]:
@@ -453,23 +469,5 @@ def enumerate_universe(kind: str, **params) -> list[tuple[int, ...]]:
     - ``multiset_diff``: n, k >= 1. Difference words of sorted k-multisets:
       d1 = m1 - 1, di = mi - m(i-1), an alphabet of {0..n-1}.
     """
-    if kind == "bounded_words":
-        return _weight_bounded(params["t"], params["n"], params["w"])
-    if kind == "fixed_weight_words":
-        t, length, target = params["t"], params["length"], params["weight"]
-        return [word for word in _weight_bounded(t, length, target) if sum(word) == target]
-    if kind == "multiset_freq":
-        n, k = params["n"], params["k"]
-        out = []
-        for multiset in combinations_with_replacement(range(1, n + 1), k):
-            counts = Counter(multiset)
-            out.append(tuple(counts.get(v, 0) for v in range(1, n)))
-        return out
-    if kind in ("subset_diff", "multiset_diff"):
-        n, k = params["n"], _diff_k(params)
-        if kind == "subset_diff":
-            combos, first = combinations(range(1, n + 1), k), 0
-        else:
-            combos, first = combinations_with_replacement(range(1, n + 1), k), 1
-        return [(c[0] - first,) + tuple(b - a for a, b in zip(c, c[1:])) for c in combos]
-    raise ValueError(f"unknown universe kind {kind!r}")
+    _, _, words, _ = _kind(kind)
+    return list(words(params))

@@ -315,6 +315,13 @@ def test_conjecture_single_and_sweep(capsys, monkeypatch):
     assert all(" equal " in line for line in lines[:-1])
     code, _, err = run(capsys, "conjecture", "--max-tn", "3", "--t", "2")
     assert code == 2 and err.startswith("error:")
+    # a sweep below t = 2 has no cell: refused, not an empty success
+    for bound in ("1", "0", "-3"):
+        code, out, err = run(capsys, "conjecture", "--max-tn", bound)
+        assert (code, out, err) == (2, "", f"error: --max-tn must be at least 2, got {bound}\n")
+    # the smallest sweep still prints its summary
+    code, out, _ = run(capsys, "conjecture", "--max-tn", "2")
+    assert code == 0 and out.splitlines()[-1] == "checked 4 cells: 4 equal, 0 divergent"
     code, _, err = run(capsys, "conjecture", "--t", "3", "--n", "2", "--w", "3")
     assert code == 2  # w >= t has no register cycle
     # 8^9 words of length n+1: the reverse-colex side streams instead of scanning them

@@ -402,6 +402,50 @@ def test_fixed_weight_size_guard_and_count():
                 assert fixed_weight_size(params) == len(universe), params
 
 
+def _reference_fixed_weight_expand(cycle):
+    """The per-window listing ``fixed_weight_expand`` had before it read ``UCycle.windows``."""
+    fixed_weight_size(cycle.params)
+    t, n, w = cycle.t, cycle.n, cycle.w
+    symbols = list(cycle.symbols)
+    if w == t:
+        zero = (0,) * n
+        spot = next((i for i in range(len(symbols)) if cycle.window(i) == zero), None)
+        if spot is None:
+            raise ValueError("w = t expansion needs the all-zero window in the cycle")
+        del symbols[spot]
+    L = len(symbols)
+    out = []
+    for i in range(L):
+        win = tuple(symbols[(i + d) % L] for d in range(n))
+        out.append(win + (w - sum(win),))
+    return out
+
+
+def _listing(cycle):
+    try:
+        return fixed_weight_expand(cycle)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_fixed_weight_expand_matches_reference_on_every_rotation():
+    for t in range(2, 6):
+        for n in range(2, 6):
+            p = ParamSet(t, n, t)
+            if p.w_eff != t:
+                continue
+            symbols = generate_concat(p).symbols
+            # with no zero, no window is all zero: the collapse is refused
+            no_zero = UCycle(tuple(s or 1 for s in symbols), p, "user")
+            assert _listing(no_zero) == "w = t expansion needs the all-zero window in the cycle"
+            with pytest.raises(ValueError, match="needs the all-zero window"):
+                _reference_fixed_weight_expand(no_zero)
+            # the cycle opens with its run of n zeros, so rotations 1..n-1 wrap it
+            for k in range(len(symbols)):
+                cycle = UCycle(symbols[k:] + symbols[:k], p, "user")
+                assert _listing(cycle) == _reference_fixed_weight_expand(cycle), (t, n, k)
+
+
 def test_fixed_weight_expand_rejects():
     with pytest.raises(ValueError, match="needs w <= t, got w=4 t=3"):
         fixed_weight_expand(generate_concat(ParamSet(3, 3, 4)))  # w > t

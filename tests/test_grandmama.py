@@ -351,3 +351,11 @@ def test_ucycle_windows_wrap():
     u = UCycle((0, 0, 1, 1), ParamSet(2, 2, 2), "grandmama-concat")
     assert u.window(3) == (1, 0)
     assert list(u.windows()) == [(0, 0), (0, 1), (1, 1), (1, 0)]
+
+
+def test_ucycle_windows_match_window_at_every_start():
+    # empty, one symbol, shorter than n, exactly n and longer than n
+    for symbols in [(), (2,), (0, 1), (1, 0, 2), (0, 1, 2, 0), (0, 0, 1, 2, 1, 0, 2)]:
+        for n in range(1, 9):
+            u = UCycle(symbols, ParamSet(3, n, 2 * n), "user")
+            assert list(u.windows()) == [u.window(i) for i in range(len(u))], (symbols, n)

@@ -1,7 +1,7 @@
 import json
 import math
 from collections import Counter
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 from unittest import mock
 
 import pytest
@@ -153,6 +153,50 @@ def _tuple_universe_grid():
                 yield "fixed_weight_words", dict(t=t, length=length, weight=weight)
 
 
+def _reference_universe(kind, **params):
+    """The universe builders the kind table replaced: a weight-pruned list of
+    tuples for the weight kinds, and a Counter or a gap tuple per object."""
+    def weight_bounded(t, n, w):
+        heads = [[(a,) for a in range(k)] for k in range(t + 1)]
+        level = [()] if w >= 0 else []
+        for _ in range(n):
+            level = [p + a for p in level for a in heads[min(t, w - sum(p) + 1)]]
+        return level
+
+    if kind == "bounded_words":
+        return weight_bounded(params["t"], params["n"], params["w"])
+    if kind == "fixed_weight_words":
+        t, length, target = params["t"], params["length"], params["weight"]
+        return [word for word in weight_bounded(t, length, target) if sum(word) == target]
+    if kind == "multiset_freq":
+        n, k = params["n"], params["k"]
+        out = []
+        for multiset in combinations_with_replacement(range(1, n + 1), k):
+            counts = Counter(multiset)
+            out.append(tuple(counts.get(v, 0) for v in range(1, n)))
+        return out
+    if kind in ("subset_diff", "multiset_diff"):
+        n, k = params["n"], params["k"]
+        if kind == "subset_diff":
+            combos, first = combinations(range(1, n + 1), k), 0
+        else:
+            combos, first = combinations_with_replacement(range(1, n + 1), k), 1
+        return [(c[0] - first,) + tuple(b - a for a, b in zip(c, c[1:])) for c in combos]
+    raise ValueError(f"unknown universe kind {kind!r}")
+
+
+def test_enumeration_matches_reference():
+    # the same tuples in the same order, kind by kind
+    for kind, params in _tuple_universe_grid():
+        assert enumerate_universe(kind, **params) == _reference_universe(kind, **params), (
+            kind, params)
+    for t in range(1, 6):
+        for n in range(7):
+            for w in range(-1, n * (t - 1) + 2):
+                assert (enumerate_universe("bounded_words", t=t, n=n, w=w)
+                        == _reference_universe("bounded_words", t=t, n=n, w=w)), (t, n, w)
+
+
 def test_closed_form_sizes_match_the_enumeration():
     # the cap is checked against a closed-form size; it must be the enumerated size
     for kind, params in _tuple_universe_grid():
@@ -165,7 +209,8 @@ def test_cap_checked_before_the_universe_is_enumerated(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("enumerated past the cap")
 
-    monkeypatch.setattr(oracle, "enumerate_universe", must_not_run)
+    for kind, (length, size, _, coded) in list(oracle._KINDS.items()):
+        monkeypatch.setitem(oracle._KINDS, kind, (length, size, must_not_run, coded))
     with pytest.raises(ValueError) as refused:
         verify_stream(iter([]), "subset_diff", n=60, k=30, max_universe=10)
     assert str(refused.value) == "universe has 118264581564861424 elements, above the cap 10"
