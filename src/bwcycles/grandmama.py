@@ -2,7 +2,8 @@
 
 The concatenation engine walks the first-nonzero parent tree of necklaces
 iteratively (probe the change index, then scan left), visiting necklaces in
-colexicographic order and emitting each one's aperiodic prefix. The successor
+colexicographic order and emitting each one's aperiodic prefix. It decides most
+children by their zero runs and tests only the rest. The successor
 engine produces the identical cyclic sequence one symbol at a time from any
 starting window, paying O(n) per symbol and at most one necklace test. One
 streaming loop makes that decision for it and for the missing-symbol rule of
@@ -103,7 +104,8 @@ def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Ite
 
     Concatenating the chunks gives the universal cycle. Memory stays O(n * t)
     no matter how long the output is; chunks are fresh lists the caller may
-    keep. All necklace tests, one per candidate child, are tallied in ``stats``.
+    keep. Most candidate children are decided by their zero runs; the necklace
+    tests that are left, one per undecided candidate, are tallied in ``stats``.
     """
     return _necklace_walk(params.t, params.n, params.w_eff, 0, 1, stats)
 
@@ -116,14 +118,28 @@ def _necklace_walk(t, n, w, floor, step, stats):
     position when ``step`` is 1 (colex order) or decreasing when it is -1. The
     walk keeps one shared scratch word and an explicit stack.
 
-    Every node except the root is 0^i a_i..a_(n-1) with a_i >= 1, where i, its
-    change index, is the position its parent bumped; the root is the all-zero
-    word, with change index n-1. Children are discovered by first probing the
-    increment at i, then scanning positions j to its left (setting a_j = 1)
-    until a test fails or j < i // 2, below which 0^j 1 0^(i-1-j) a_i.. has a
-    zero run longer than its leading one and is no necklace. Each test's period
-    is kept for the child it found, so every candidate is tested exactly once;
-    the root's period is 1 and costs no test.
+    Every node except the root is 0^i b, where b = a_i..a_(n-1) starts with
+    a_i >= 1 and i, its change index, is the position its parent bumped; the
+    root is the all-zero word, with change index n-1. Its children are the
+    probe 0^i (a_i+1) a_(i+1).. and, scanning left, the words 0^j 1 0^(i-1-j) b
+    that are necklaces. Most are decided without a test. A node is a necklace,
+    so b ends nonzero (a trailing zero would rotate to the front), and L, the
+    longest zero run inside b (0 for none), is at most i. Each frame carries L:
+    a probe child keeps it, the scan child at j has max(i-1-j, L). Then:
+
+    - a word that ends nonzero and whose leading zero run is longer than each
+      of its other zero runs is below all its rotations: a Lyndon word, with
+      period n. So the probe is one when i > L, and the scan child at j is one
+      when j > L and i-1-j < j;
+    - a word with a zero run longer than its leading one is no necklace. So
+      the scan stops below lo = max(i // 2, L): under i // 2 the run after
+      the 1 is the longer one, under L a run inside b is;
+    - the root's only child is 0^(n-1)1; its other candidates end in zero.
+
+    What is left (a probe with i = 0 or L = i, the scan child at lo when
+    lo = L or i = 2 lo + 1) is tested once with ``_period_count``, and the
+    period is kept for entering the child, so every tested candidate is tested
+    exactly once. The root's period is 1 and costs no test.
 
     Besides the scratch word, memory is one frame per node with children on
     the current path (at most w + 1) and the kept periods of the children not
@@ -143,63 +159,77 @@ def _necklace_walk(t, n, w, floor, step, stats):
             symbols = 1
         if w == 0:
             return
-        # one frame per node with children on the current path, the root included
-        # (with w >= 1 it has the child 0...01, so every leaf has a parent frame):
-        # [periods of the children left, in reverse visiting order,
-        #  next child's position, child weight, change_index]
-        stack = []
-        i, wt = n - 1, 0
+        # one frame per node with children on the current path: [periods of the
+        # children left, in reverse visiting order, next child's position, child
+        # weight, change index, L]. The root's frame holds its only child
+        # 0^(n-1)1 (w >= 1, so t >= 2), a Lyndon word, and the L it keeps.
+        fr = [[n], n - 1, 1, n - 1, 0]
+        stack = [fr]
         while True:
-            ps = []
-            if wt < w:
-                # the children's periods by decreasing position: probe, then scan
-                if a[i] < tmax:
-                    a[i] += 1
-                    p, it = _period_count(a, n)
-                    a[i] -= 1
-                    tests += 1
-                    iters += it
-                    if p:
-                        ps.append(p)
-                j = i - 1
-                half = i // 2
-                while j >= half:
-                    a[j] = 1
-                    p, it = _period_count(a, n)
-                    a[j] = 0
-                    tests += 1
-                    iters += it
-                    if p == 0:
-                        break
-                    ps.append(p)
-                    j -= 1
-            if ps:
-                # the children bump positions j+1 .. j+len(ps)
-                if step > 0:
-                    fr = [ps, j + 1, wt + 1, i]
-                else:
-                    ps.reverse()
-                    fr = [ps, j + len(ps), wt + 1, i]
-                stack.append(fr)
-            else:
-                a[i] -= 1
-                fr = stack[-1]
-                # climb out of every node whose children are done
-                while not fr[0]:
-                    stack.pop()
-                    if not stack:
-                        return
-                    a[fr[3]] -= 1
-                    fr = stack[-1]
+            # enter the child that bumps position i
             i = fr[1]
             fr[1] = i + step
-            # enter the child that bumps position i
             a[i] += 1
             wt = fr[2]
             p = fr[0].pop()
             if wt >= floor:
                 yield a[:p]
                 symbols += p
+            if wt < w:
+                ps = []
+                # this node's L: a scan child adds the run 0^(ci-1-i) after its 1
+                ci, L = fr[3], fr[4]
+                if ci - 1 - i > L:
+                    L = ci - 1 - i
+                # the children's periods by decreasing position: probe, then scan
+                # down to lo, where only the child at lo can need a test
+                if a[i] < tmax:
+                    if i > L:
+                        ps.append(n)
+                    else:
+                        a[i] += 1
+                        p, it = _period_count(a, n)
+                        a[i] -= 1
+                        tests += 1
+                        iters += it
+                        if p:
+                            ps.append(p)
+                lo = i // 2
+                if L > lo:
+                    lo = L
+                j = i - 1
+                if lo < i:
+                    ps += [n] * (i - 1 - lo)
+                    j = lo - 1
+                    if L < lo and i % 2 == 0:
+                        ps.append(n)
+                    else:
+                        a[lo] = 1
+                        p, it = _period_count(a, n)
+                        a[lo] = 0
+                        tests += 1
+                        iters += it
+                        if p:
+                            ps.append(p)
+                        else:
+                            j = lo
+                if ps:
+                    # the children bump positions j+1 .. j+len(ps)
+                    if step > 0:
+                        fr = [ps, j + 1, wt + 1, i, L]
+                    else:
+                        ps.reverse()
+                        fr = [ps, j + len(ps), wt + 1, i, L]
+                    stack.append(fr)
+                    continue
+            a[i] -= 1
+            # climb out of every node whose children are done
+            while not fr[0]:
+                stack.pop()
+                if not stack:
+                    return
+                a[fr[3]] -= 1
+                fr = stack[-1]
     finally:
         if stats is not None:
             stats.add(symbols=symbols, tests=tests, comparisons=iters)

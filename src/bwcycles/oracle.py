@@ -187,9 +187,13 @@ def _bounded_size(t: int, n: int, w: int) -> int:
 
 
 def _named(kind: str, params: dict, max_universe: int) -> _Coded:
-    """The coded universe of an ``enumerate_universe`` kind, refused above the cap
-    by its closed-form size before a word is enumerated."""
-    length, size, words, coded = _kind(kind)
+    """The coded universe of an ``enumerate_universe`` kind, refused below the
+    kind's parameter ranges and above the cap by its closed-form size, before a
+    word is enumerated."""
+    length, size, words, coded, lows = _kind(kind)
+    for name, low in lows.items():
+        if params[name] < low:
+            raise ValueError(f"{kind} universes need {name} >= {low}, got {name}={params[name]}")
     size = size(params)
     _check_cap(size, max_universe)
     if coded:
@@ -379,8 +383,11 @@ def verify_stream(
     """``verify_universal_cycle`` for a cycle read as chunks, against the universe
     ``enumerate_universe(kind, **params)``, whose word length is the window length.
 
-    Only the first n-1 symbols of the cycle are held. The universe is refused
-    above ``max_universe`` before any chunk is read.
+    Only the first n-1 symbols of the cycle are held. Before any chunk is read,
+    the parameters are checked against the kind's ranges (bounded words: t >= 1,
+    n >= 1, w >= 0; fixed-weight words: t >= 1, length >= 0; difference words:
+    n >= 0, k >= 1; frequency words: n >= 1, k >= 0) and the universe is refused
+    above ``max_universe``, each with a ``ValueError``.
     """
     return _verify(chunks, _named(kind, params, max_universe), full_details)
 
@@ -431,21 +438,26 @@ def _bounded_coded(p: dict, size: int) -> _Coded:
     return _Coded(t, n, dict.fromkeys(_bounded_codes(t, n, w), 1), size)
 
 
-# Each kind's (word length, closed-form size, words in order, and for bounded
-# words their coding straight from the weights), from its parameters p.
+# Each kind's (word length, closed-form size, words in order, for bounded words
+# their coding straight from the weights, and the least value of each parameter),
+# from its parameters p. Bounded words take a ParamSet's ranges; below the others
+# a word length or an alphabet would be negative.
 _KINDS = {
     "bounded_words": (lambda p: p["n"], lambda p: _bounded_size(p["t"], p["n"], p["w"]),
-                      lambda p: words_iter(p["t"], p["n"], p["w"]), _bounded_coded),
+                      lambda p: words_iter(p["t"], p["n"], p["w"]), _bounded_coded,
+                      {"t": 1, "n": 1, "w": 0}),
     "fixed_weight_words": (lambda p: p["length"], _fixed_weight_size,
                            lambda p: (x for x in words_iter(p["t"], p["length"], p["weight"])
-                                      if sum(x) == p["weight"]), None),
-    "subset_diff": (_diff_k, lambda p: comb(p["n"], _diff_k(p)), _diffs(combinations, 0), None),
+                                      if sum(x) == p["weight"]), None,
+                           {"t": 1, "length": 0}),
+    "subset_diff": (_diff_k, lambda p: comb(p["n"], _diff_k(p)), _diffs(combinations, 0), None,
+                    {"n": 0, "k": 1}),
     "multiset_freq": (lambda p: p["n"] - 1, lambda p: comb(p["n"] + p["k"] - 1, p["k"]),
                       lambda p: (tuple(map(m.count, range(1, p["n"]))) for m in
                                  combinations_with_replacement(range(1, p["n"] + 1), p["k"])),
-                      None),
+                      None, {"n": 1, "k": 0}),
     "multiset_diff": (_diff_k, lambda p: comb(p["n"] + _diff_k(p) - 1, p["k"]),
-                      _diffs(combinations_with_replacement, 1), None),
+                      _diffs(combinations_with_replacement, 1), None, {"n": 0, "k": 1}),
 }
 
 
@@ -469,5 +481,5 @@ def enumerate_universe(kind: str, **params) -> list[tuple[int, ...]]:
     - ``multiset_diff``: n, k >= 1. Difference words of sorted k-multisets:
       d1 = m1 - 1, di = mi - m(i-1), an alphabet of {0..n-1}.
     """
-    _, _, words, _ = _kind(kind)
+    words = _kind(kind)[2]
     return list(words(params))

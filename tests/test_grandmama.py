@@ -95,6 +95,46 @@ def test_walks_match_brute_force_chunk_for_chunk_on_a_wide_grid():
             assert list(iter_reverse_colex_prefixes(ParamSet(t, n, w))) == expected, (t, n, w)
 
 
+# every (t, n) with t = 2 and n <= 12 or t = 3 and n <= 8
+SMALL_ALPHABET_GRID = [(2, n) for n in range(1, 13)] + [(3, n) for n in range(1, 9)]
+
+
+def test_walks_match_brute_force_on_small_alphabets_through_every_branch(monkeypatch):
+    # most children are decided by their zero runs; the ones left are tested,
+    # and each kind of tested candidate must turn up on this grid
+    tested = []
+    real = grandmama._period_count
+
+    def recording(a, n):
+        p, it = real(a, n)
+        tested.append((tuple(a[:n]), p))
+        return p, it
+
+    monkeypatch.setattr(grandmama, "_period_count", recording)
+    for t, n in SMALL_ALPHABET_GRID:
+        colex = sorted(_brute_necklaces(t, n, n * (t - 1)), key=_colex)
+        for w in range(n * (t - 1) + 1):
+            expected = [list(word[:p]) for word, p in colex if sum(word) <= w]
+            assert list(iter_concat_prefixes(ParamSet(t, n, w))) == expected, (t, n, w)
+        # the reverse walk yields only its leaves, of weight floor = w
+        reverse = sorted(_brute_necklaces(t, n + 1, t - 1), key=_colex, reverse=True)
+        for w in range(t):
+            expected = [list(word[:p]) for word, p in reverse if sum(word) == w]
+            assert list(iter_reverse_colex_prefixes(ParamSet(t, n, w))) == expected, (t, n, w)
+
+    def leading_zeros(word):
+        return next((k for k, s in enumerate(word) if s), len(word))
+
+    # the probe at change index 0: the bumped first symbol is at least 2
+    assert any(word[0] >= 2 for word, _ in tested)
+    # the probe with a zero run inside as long as the leading one (L == i >= 1)
+    assert any(0 < (z := leading_zeros(word)) < len(word) and word[z] >= 2 for word, _ in tested)
+    # the scan child 0^j 1 0^j 1.. with i == 2j+1 and a_i == 1, periodic and not
+    for periodic in (True, False):
+        assert any(0 < (j := leading_zeros(word)) and word[j:2 * j + 2] == (1,) + (0,) * j + (1,)
+                   and (0 < p < len(word)) == periodic for word, p in tested), periodic
+
+
 def test_walks_test_each_candidate_once(monkeypatch):
     tested = []
     real = grandmama._period_count
@@ -140,11 +180,19 @@ def test_concat_weight_clamping_reported():
 def test_concat_stats_pinned():
     # (necklace_tests, comparisons, symbols) of the colex walk; perfbench's
     # tests-per-symbol drift check reads these counts
-    for (t, n, w), expected in [((4, 6, 9), (597, 2678, 2338)), ((5, 3, 4), (15, 29, 35))]:
+    for (t, n, w), expected in [((4, 6, 9), (238, 1092, 2338)), ((5, 3, 4), (4, 7, 35))]:
         stats = GenStats()
         chunks = list(iter_concat_prefixes(ParamSet(t, n, w), stats))
         assert sum(map(len, chunks)) == expected[2], (t, n, w)
         assert (stats.necklace_tests, stats.comparisons, stats.symbols) == expected, (t, n, w)
+
+
+def test_reverse_walk_stats_pinned():
+    # (necklace_tests, comparisons, symbols) of the reverse colex walk unseeded msr runs
+    stats = GenStats()
+    chunks = list(iter_reverse_colex_prefixes(ParamSet(7, 5, 6), stats))
+    assert sum(map(len, chunks)) == 462
+    assert (stats.necklace_tests, stats.comparisons, stats.symbols) == (64, 306, 462)
 
 
 def test_successor_h1_examples():

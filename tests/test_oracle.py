@@ -139,6 +139,42 @@ def test_difference_universes_need_k():
             verify_stream(iter([[1]]), kind, n=3, k=0)
 
 
+def test_named_universes_refuse_parameters_out_of_range(monkeypatch):
+    # each kind's ranges are checked before it is sized or enumerated
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("sized or enumerated an out-of-range universe")
+
+    cases = [("bounded_words", dict(t=2, n=-1, w=1), "n >= 1, got n=-1"),
+             ("bounded_words", dict(t=0, n=2, w=1), "t >= 1, got t=0"),
+             ("bounded_words", dict(t=2, n=2, w=-1), "w >= 0, got w=-1"),
+             ("fixed_weight_words", dict(t=0, length=2, weight=1), "t >= 1, got t=0"),
+             ("fixed_weight_words", dict(t=2, length=-1, weight=1), "length >= 0, got length=-1"),
+             ("subset_diff", dict(n=-1, k=2), "n >= 0, got n=-1"),
+             ("subset_diff", dict(n=3, k=0), "k >= 1, got k=0"),
+             ("multiset_freq", dict(n=0, k=2), "n >= 1, got n=0"),
+             ("multiset_freq", dict(n=3, k=-1), "k >= 0, got k=-1"),
+             ("multiset_diff", dict(n=-1, k=3), "n >= 0, got n=-1"),
+             ("multiset_diff", dict(n=3, k=0), "k >= 1, got k=0")]
+    assert {kind for kind, _, _ in cases} == set(oracle._KINDS)
+    real = dict(oracle._KINDS)
+    for kind, row in real.items():
+        monkeypatch.setitem(oracle._KINDS, kind, (row[0], must_not_run, must_not_run,
+                                                  must_not_run, *row[4:]))
+    for kind, params, message in cases:
+        with pytest.raises(ValueError, match=f"^{kind} universes need {message}$"):
+            verify_stream(iter([[0]]), kind, **params)
+    # the least values themselves pass on to the cap
+    least = [("bounded_words", dict(t=1, n=1, w=0)),
+             ("fixed_weight_words", dict(t=1, length=0, weight=-1)),
+             ("subset_diff", dict(n=0, k=1)), ("multiset_freq", dict(n=1, k=0)),
+             ("multiset_diff", dict(n=0, k=1))]
+    for kind, row in real.items():
+        monkeypatch.setitem(oracle._KINDS, kind, (*row[:2], must_not_run, must_not_run, *row[4:]))
+    for kind, params in least:
+        with pytest.raises(ValueError, match="above the cap -1"):
+            verify_stream(iter([[0]]), kind, max_universe=-1, **params)
+
+
 def _tuple_universe_grid():
     for n in range(8):
         for k in range(1, 5):
@@ -209,8 +245,8 @@ def test_cap_checked_before_the_universe_is_enumerated(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("enumerated past the cap")
 
-    for kind, (length, size, _, coded) in list(oracle._KINDS.items()):
-        monkeypatch.setitem(oracle._KINDS, kind, (length, size, must_not_run, coded))
+    for kind, row in list(oracle._KINDS.items()):
+        monkeypatch.setitem(oracle._KINDS, kind, (*row[:2], must_not_run, *row[3:]))
     with pytest.raises(ValueError) as refused:
         verify_stream(iter([]), "subset_diff", n=60, k=30, max_universe=10)
     assert str(refused.value) == "universe has 118264581564861424 elements, above the cap 10"
