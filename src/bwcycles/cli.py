@@ -52,7 +52,6 @@ class _Cell:
 
     kind: str  # words, or an ENCODINGS key
     params: ParamSet
-    length: int
     enc: Encoding | None = None  # the table entry of an encoded kind
     nk: tuple[int, int] | None = None
     shift: int = 0  # added to every engine symbol on output
@@ -78,11 +77,10 @@ def _resolve_cell(args) -> _Cell:
     if kind == "words":
         if args.t is None or args.n is None or args.w is None:
             raise ValueError("--t, --n and --w must all be given")
-        params = ParamSet(args.t, args.n, args.w)
-        return _Cell(kind, params, params.universe_size)
+        return _Cell(kind, ParamSet(args.t, args.n, args.w))
     enc = ENCODINGS[kind]
     n, k = given[kind]
-    return _Cell(kind, enc.params(n, k), enc.length(n, k), enc, (n, k), enc.shift)
+    return _Cell(kind, enc.params(n, k), enc, (n, k), enc.shift)
 
 
 def _resolve_seed(args, cell: _Cell) -> tuple[int, ...] | None:
@@ -160,11 +158,11 @@ def cmd_generate(args) -> int:
         raise ValueError(f"compact format needs all symbols < 10, but they reach {top}")
 
     stats = GenStats() if args.stats else None
-    p, limit = cell.params, args.limit
+    p, limit, length = cell.params, args.limit, cell.params.universe_size
     # a successor engine stops at the last kept symbol, so its counters match the output
-    steps = None if limit is None or limit >= p.universe_size else max(limit - p.n, 0)
+    steps = None if limit is None or limit >= length else max(limit - p.n, 0)
     tag, chunks = engine_chunks(p, args.engine, seed, steps, stats)
-    emit_len = cell.length if limit is None else min(cell.length, limit)
+    emit_len = length if limit is None else min(length, limit)
     if limit is not None:
         chunks = _take(chunks, limit)
 
@@ -196,7 +194,7 @@ def cmd_generate(args) -> int:
 def cmd_decode(args) -> int:
     cell = _resolve_cell(args)
     _, chunks = engine_chunks(cell.params, args.engine, _resolve_seed(args, cell))
-    position, length, n = args.position, cell.length, cell.params.n
+    position, length, n = args.position, cell.params.universe_size, cell.params.n
     if not 0 <= position < length:
         raise ValueError(f"position {position} outside 0..{length - 1}")
     # read only up to the window's end; the first n symbols continue a cycle that
@@ -221,7 +219,7 @@ def cmd_verify(args) -> int:
 
     # every check the flags decide is made before a cycle is built or a universe enumerated
     p = cell.params
-    _check_cap(fixed_weight_size(p) if against == "fixed-weight" else cell.length,
+    _check_cap(fixed_weight_size(p) if against == "fixed-weight" else p.universe_size,
                args.max_universe)
     if args.sequence is not None:
         tag, chunks = "user", [parse_symbols(args.sequence)]

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, islice, repeat
-from math import comb
 from typing import Callable, Iterator, Sequence
 
 from bwcycles.grandmama import GenStats, UCycle, iter_concat_prefixes, iter_successor_chunks
@@ -185,13 +184,17 @@ def engine_chunks(
 
 @dataclass(frozen=True)
 class Encoding:
-    """How one family of (n, k) objects rides on a weight-bounded word cell."""
+    """How one family of (n, k) objects rides on a weight-bounded word cell.
+
+    The cycle's length is the cell's ``universe_size``: every cell here has
+    w = t - 1, so ``count_bounded_words`` gives it as one binomial, C(n, k) for
+    subsets and C(n + k - 1, k) for multisets.
+    """
 
     scheme: str
     cell: Callable[[int, int], ParamSet]  # (n, k) -> the (t, n, w) cell the engines run on
     shift: int  # added to every engine symbol to give the displayed window
     decode: Callable[[Sequence[int], int, int], CombObject]  # (displayed window, n, k)
-    length: Callable[[int, int], int]  # closed-form cycle length, |universe|
     accepts: Callable[[int, int], bool]  # the (n, k) range cycles are built for
     refusal: str  # the error for (n, k) outside it, formatted with n and k
     universe: str  # the oracle's enumerate_universe kind
@@ -204,10 +207,6 @@ class Encoding:
         return self.cell(n, k)
 
 
-def _multiset_length(n: int, k: int) -> int:
-    return comb(n + k - 1, k)
-
-
 def _multisets_accepted(n: int, k: int) -> bool:
     return n >= 2 and k >= 2
 
@@ -218,17 +217,17 @@ _MULTISET_REFUSAL = "multiset cycles assume n, k >= 2, got n={n} k={k}"
 ENCODINGS: dict[str, Encoding] = {
     "subsets": Encoding(
         SCHEME_SUBSET_DIFF, cell=lambda n, k: ParamSet(n - k + 1, k, n - k), shift=1,
-        decode=lambda win, n, k: diff_to_subset(win, n), length=comb,
+        decode=lambda win, n, k: diff_to_subset(win, n),
         accepts=lambda n, k: 1 <= k <= n, refusal="subsets need 1 <= k <= n, got n={n} k={k}",
         universe="subset_diff", help="k-subsets of {1..n} in difference representation"),
     "multisets-freq": Encoding(
         SCHEME_MULTISET_FREQ, cell=lambda n, k: ParamSet(k + 1, n - 1, k), shift=0,
-        decode=lambda win, n, k: freq_to_multiset(win, k), length=_multiset_length,
+        decode=lambda win, n, k: freq_to_multiset(win, k),
         accepts=_multisets_accepted, refusal=_MULTISET_REFUSAL, universe="multiset_freq",
         help="k-multisets of {1..n} in shorthand frequency representation"),
     "multisets-diff": Encoding(
         SCHEME_MULTISET_DIFF, cell=lambda n, k: ParamSet(n, k, n - 1), shift=0,
-        decode=lambda win, n, k: diff_to_multiset(win, n), length=_multiset_length,
+        decode=lambda win, n, k: diff_to_multiset(win, n),
         accepts=_multisets_accepted, refusal=_MULTISET_REFUSAL, universe="multiset_diff",
         help="k-multisets of {1..n} in difference representation"),
 }
@@ -250,7 +249,7 @@ def ucycle_subsets(n: int, k: int, engine: str = "grandmama") -> UCycle:
     """Universal cycle for the k-subsets of {1..n} in difference representation.
 
     Each k-subset's difference word appears exactly once as a cyclic window; the
-    word cell, display shift and length are ``ENCODINGS["subsets"]``. k = n
+    word cell and display shift are ``ENCODINGS["subsets"]``, the length C(n, k). k = n
     collapses to the one-letter alphabet and yields the single window 1^k.
     """
     return _ucycle("subsets", n, k, engine)
@@ -290,7 +289,7 @@ def fixed_weight_size(params: ParamSet) -> int:
     t, n, w = params.t, params.n, params.w_eff
     if w > t:
         raise ValueError(f"fixed-weight expansion needs w <= t, got w={w} t={t}")
-    return count_bounded_words(t, n + 1, w) - (count_bounded_words(t, n + 1, w - 1) if w else 0)
+    return count_bounded_words(t, n + 1, w) - count_bounded_words(t, n + 1, w - 1)
 
 
 def fixed_weight_expand(cycle: UCycle) -> list[tuple[int, ...]]:

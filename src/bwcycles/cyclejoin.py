@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
-from bwcycles.combmaps import fixed_weight_size
 from bwcycles.msr import _require_small_weight
 from bwcycles.words import (MAX_SCAN_WORDS, ParamSet, Word, _render, _symbols,
                             enumerate_bounded_necklaces, necklace_info, words_iter)
@@ -234,16 +233,19 @@ def build_tree(
     (default 10^6) are refused, and so, before the scan, are cells with more
     than ``max_nodes`` * L candidate words: each length-L necklace stands for
     at most L of them. So are cells whose scan, every length-L word of weight
-    at most w, is longer than the enumerator's ``MAX_SCAN_WORDS``.
+    at most w, is longer than the enumerator's ``MAX_SCAN_WORDS``. Both trees
+    have ``params.universe_size`` candidates: for w < t, a weight-w MSR label of
+    length n+1 is a bounded window with its missing symbol appended.
     """
     if kind is FeedbackKind.MSR:
         t, n, w = _require_small_weight(params)
-        label_len, words, floor = n + 1, fixed_weight_size(params), w
+        label_len, floor = n + 1, w
         root, parent_of, pair_of = (0,) * n + (w,), _msr_parent, _msr_pair
     else:
         t, n, w = params.t, params.n, params.w_eff
-        label_len, words, floor = n, params.universe_size, 0
+        label_len, floor = n, 0
         root, parent_of, pair_of = (0,) * n, _pcr_parent, _pcr_pair
+    words = params.universe_size
     if words > max_nodes * label_len:
         raise ValueError(f"scanning {words} words would exceed the {max_nodes}-node cap")
     scanned = ParamSet(t, label_len, w)

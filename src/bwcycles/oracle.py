@@ -3,8 +3,10 @@
 This module is the independent referee for every generator in the package. It
 never calls the fast constructions or the codec layer. Universes come from one
 table of kinds, ``_KINDS``, that gives each kind's word length, closed-form size
+(``words.count_bounded_words`` for the weight kinds, a binomial for the rest)
 and words (from ``words.words_iter`` or itertools combinations), and coverage is
-checked by counting every window.
+checked by counting every window. The size only sets the cap and the expected
+count: the verdict comes from the enumerated words or marks.
 
 A window of n symbols from {0..t-1} is counted under its base-t code, which
 one rolling update per symbol keeps current, so the cycle is read as a stream
@@ -24,7 +26,7 @@ from math import comb
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from bwcycles.words import words_iter
+from bwcycles.words import count_bounded_words, words_iter
 
 __all__ = ["VerifyReport", "verify_universal_cycle", "verify_stream", "verify_listing",
            "enumerate_universe"]
@@ -117,31 +119,22 @@ def _coded(words: set[tuple[int, ...]], n: int) -> _Coded:
     return _Coded(t, n, marks, len(codes), stray)
 
 
-def _weight_fold(t: int, n: int, w: int, one, zero, join):
-    """Fold over length-n words of weight <= w by their first symbol:
-    f(k, r) = join(f(k-1, r-a) for a in 0..t-1), f(0, r >= 0) = one, f(k, r < 0) = zero(k)."""
-    memo = {}
-
-    def fold(k, r):
-        key = (k, max(r, -1))
-        if key not in memo:
-            if r < 0:
-                memo[key] = zero(k)
-            elif k == 0:
-                memo[key] = one
-            else:
-                memo[key] = join(fold(k - 1, r - a) for a in range(t))
-        return memo[key]
-
-    return fold(n, w)
-
-
 def _bounded_marks(t: int, n: int, w: int) -> bytes:
     """A byte per code of a length-n word over {0..t-1}: 1 where its weight is <= w.
 
-    The codes that start with symbol a form one block, the marks of the rest at w - a.
+    Built one word length k at a time: the length-k codes that start with symbol a
+    form one block, the length-(k-1) marks of the weight budget r - a. A level keeps
+    only the budgets that a prefix of the other n - k symbols can leave, from
+    w - (n-k)(t-1) up to w, and -1 stands for every negative budget, whose block
+    is all zeros.
     """
-    return _weight_fold(t, n, w, b"\x01", lambda k: bytes(t ** k), b"".join)
+    w = max(w, -1)
+    lows = [max(w - (n - k) * (t - 1), -1) for k in range(n + 1)]
+    level = {r: b"\x01" if r >= 0 else b"\x00" for r in range(lows[0], w + 1)}
+    for k in range(1, n + 1):
+        level = {r: b"".join(level[max(r - a, -1)] for a in range(t))
+                 for r in range(lows[k], w + 1)}
+    return level[w]
 
 
 def _bounded_codes(t: int, n: int, w: int) -> list[int]:
@@ -182,18 +175,10 @@ def _capped_set(universe: Iterable[Sequence[int]], max_universe: int) -> set:
             return expected
 
 
-def _bounded_size(t: int, n: int, w: int) -> int:
-    return _weight_fold(t, n, w, 1, lambda k: 0, sum)
-
-
 def _named(kind: str, params: dict, max_universe: int) -> _Coded:
-    """The coded universe of an ``enumerate_universe`` kind, refused below the
-    kind's parameter ranges and above the cap by its closed-form size, before a
-    word is enumerated."""
-    length, size, words, coded, lows = _kind(kind)
-    for name, low in lows.items():
-        if params[name] < low:
-            raise ValueError(f"{kind} universes need {name} >= {low}, got {name}={params[name]}")
+    """The coded universe of an ``enumerate_universe`` kind, refused above the cap
+    by its closed-form size before a word is enumerated."""
+    length, size, words, coded = _kind(kind, params)
     size = size(params)
     _check_cap(size, max_universe)
     if coded:
@@ -412,23 +397,16 @@ def verify_listing(
                    full_details)
 
 
-def _diff_k(p: dict) -> int:
-    """k of a difference-word kind, whose first symbol needs an element."""
-    if p["k"] < 1:
-        raise ValueError(f"difference words need k >= 1, got n={p['n']} k={p['k']}")
-    return p["k"]
-
-
 def _fixed_weight_size(p: dict) -> int:
     t, n, w = p["t"], p["length"], p["weight"]
-    return _bounded_size(t, n, w) - _bounded_size(t, n, w - 1)
+    return count_bounded_words(t, n, w) - count_bounded_words(t, n, w - 1)
 
 
 def _diffs(combos: Callable, first: int) -> Callable[[dict], Iterator[tuple[int, ...]]]:
     """Difference words of the sorted k-tuples ``combos`` draws from {1..n}: each
     element's gap to the one before it, with ``first`` before the first."""
     return lambda p: (tuple(map(sub, c, (first, *c[:-1])))
-                      for c in combos(range(1, p["n"] + 1), _diff_k(p)))
+                      for c in combos(range(1, p["n"] + 1), p["k"]))
 
 
 def _bounded_coded(p: dict, size: int) -> _Coded:
@@ -443,28 +421,33 @@ def _bounded_coded(p: dict, size: int) -> _Coded:
 # from its parameters p. Bounded words take a ParamSet's ranges; below the others
 # a word length or an alphabet would be negative.
 _KINDS = {
-    "bounded_words": (lambda p: p["n"], lambda p: _bounded_size(p["t"], p["n"], p["w"]),
+    "bounded_words": (lambda p: p["n"], lambda p: count_bounded_words(p["t"], p["n"], p["w"]),
                       lambda p: words_iter(p["t"], p["n"], p["w"]), _bounded_coded,
                       {"t": 1, "n": 1, "w": 0}),
     "fixed_weight_words": (lambda p: p["length"], _fixed_weight_size,
                            lambda p: (x for x in words_iter(p["t"], p["length"], p["weight"])
                                       if sum(x) == p["weight"]), None,
                            {"t": 1, "length": 0}),
-    "subset_diff": (_diff_k, lambda p: comb(p["n"], _diff_k(p)), _diffs(combinations, 0), None,
-                    {"n": 0, "k": 1}),
+    "subset_diff": (lambda p: p["k"], lambda p: comb(p["n"], p["k"]), _diffs(combinations, 0),
+                    None, {"n": 0, "k": 1}),
     "multiset_freq": (lambda p: p["n"] - 1, lambda p: comb(p["n"] + p["k"] - 1, p["k"]),
                       lambda p: (tuple(map(m.count, range(1, p["n"]))) for m in
                                  combinations_with_replacement(range(1, p["n"] + 1), p["k"])),
                       None, {"n": 1, "k": 0}),
-    "multiset_diff": (_diff_k, lambda p: comb(p["n"] + _diff_k(p) - 1, p["k"]),
+    "multiset_diff": (lambda p: p["k"], lambda p: comb(p["n"] + p["k"] - 1, p["k"]),
                       _diffs(combinations_with_replacement, 1), None, {"n": 0, "k": 1}),
 }
 
 
-def _kind(kind: str) -> tuple:
+def _kind(kind: str, params: dict) -> list:
+    """The row of ``kind`` without its lows, once ``params`` are checked against them."""
     if kind not in _KINDS:
         raise ValueError(f"unknown universe kind {kind!r}")
-    return _KINDS[kind]
+    *row, lows = _KINDS[kind]
+    for name, low in lows.items():
+        if params[name] < low:
+            raise ValueError(f"{kind} universes need {name} >= {low}, got {name}={params[name]}")
+    return row
 
 
 def enumerate_universe(kind: str, **params) -> list[tuple[int, ...]]:
@@ -480,6 +463,9 @@ def enumerate_universe(kind: str, **params) -> list[tuple[int, ...]]:
       {1..n}: how often each of 1..n-1 occurs (the count of n is implied).
     - ``multiset_diff``: n, k >= 1. Difference words of sorted k-multisets:
       d1 = m1 - 1, di = mi - m(i-1), an alphabet of {0..n-1}.
+
+    Parameters below a kind's ranges, as ``verify_stream`` lists them, raise
+    ``ValueError`` before anything is enumerated.
     """
-    words = _kind(kind)[2]
+    words = _kind(kind, params)[2]
     return list(words(params))

@@ -13,8 +13,8 @@ hot paths work on plain tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
+from math import comb
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -130,7 +130,9 @@ class ParamSet:
 
     @property
     def universe_size(self) -> int:
-        """Number of length-n words over {0..t-1} with weight <= w."""
+        """Number of length-n words over {0..t-1} with weight <= w: the length of
+        every cycle of this cell, and through an encoded cell (w = t - 1) C(n, k)
+        or C(n + k - 1, k). Read from ``count_bounded_words``."""
         return count_bounded_words(self.t, self.n, self.w_eff)
 
 
@@ -226,25 +228,19 @@ def enumerate_bounded_necklaces(params: ParamSet) -> list[Word]:
     return [Word(syms, t) for syms in found]
 
 
-@lru_cache(maxsize=None)
 def count_bounded_words(t: int, n: int, w: int) -> int:
-    """Number of length-n words over {0..t-1} with weight <= w, by dynamic programming."""
-    if t < 1 or n < 1 or w < 0:
+    """Number of length-n words over {0..t-1} with weight <= w, for n >= 0 and any w.
+
+    The package's one count of these words, by inclusion-exclusion on a slack
+    symbol: sum_j (-1)^j C(n, j) C(w - j*t + n, n) over j <= min(n, w // t), j
+    being how many symbols are forced to t or more. It is 0 for w < 0 and 1 (the
+    empty word) for n = 0; at w = t - 1, the k-subset and k-multiset cells, it is
+    the single binomial C(w + n, n).
+    """
+    if t < 1 or n < 0:
         raise ValueError(f"bad parameters t={t} n={n} w={w}")
     w = min(w, n * (t - 1))
-    ways = [1] + [0] * w
-    for _ in range(n):
-        prefix = 0
-        acc = []
-        running = list(ways)
-        # new[s] = sum_{d=0..min(t-1,s)} ways[s-d], via a sliding window over prefix sums
-        for s in range(w + 1):
-            prefix += running[s]
-            if s - t >= 0:
-                prefix -= running[s - t]
-            acc.append(prefix)
-        ways = acc
-    return sum(ways)
+    return sum((-1) ** j * comb(n, j) * comb(w - j * t + n, n) for j in range(min(n, w // t) + 1))
 
 
 def words_iter(t: int, n: int, w: int | None = None) -> Iterable[tuple[int, ...]]:

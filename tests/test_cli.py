@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from itertools import chain, islice
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,18 @@ def test_verify_cap_refused_before_any_work(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--t", "4", "--n", "9", "--w", "13",
                          "--against", "fixed-weight")
     assert (code, out, err) == (2, "", "error: fixed-weight expansion needs w <= t, got w=13 t=4\n")
+
+
+def test_verify_long_windows_of_small_universes(capsys):
+    # 1,201 and 1 words of length 1200: sized and marked without a recursion over n
+    for argv, size in [(["--t", "2", "--n", "1200", "--w", "1"], 1201),
+                       (["--t", "1", "--n", "1200", "--w", "0"], 1)]:
+        code, out, err = run(capsys, "verify", *argv)
+        report = json.loads(out)
+        assert (code, err, report["ok"], report["window_count"]) == (0, "", True, size), argv
+    # a huge encoded cell is still refused by the cap, sized by one binomial
+    code, out, err = run(capsys, "verify", "--subsets", "4000", "2000")
+    assert (code, out) == (2, "") and err.endswith(" elements, above the cap 1000000\n")
 
 
 def test_tree_outputs(capsys):
@@ -559,7 +572,7 @@ def test_unseeded_msr_output_matches_h2(capsys, monkeypatch):
         argvs.append(["verify", *cell])
         argvs += [["generate", *cell, "--format", fmt] for fmt in FORMATS]
         argvs += [["decode", *cell, "--position", str(position)]
-                  for position in range(ENCODINGS[kind].length(n, k))]
+                  for position in range(comb(n, k) if kind == "subsets" else comb(n + k - 1, k))]
     shipped = [run(capsys, *argv) for argv in argvs]
     assert sum(code == 0 for code, _, _ in shipped) > 3000
     monkeypatch.setattr(cli, "engine_chunks", _h2_dispatch)

@@ -316,7 +316,7 @@ def test_encoding_table_matches_oracle():
                 accepted += 1
                 universe = enumerate_universe(enc.universe, n=n, k=k)
                 cell = enc.params(n, k)
-                assert enc.length(n, k) == len(universe) == cell.universe_size, (kind, n, k)
+                assert len(universe) == cell.universe_size, (kind, n, k)
                 # the shifted cell universe is the oracle's universe, word for word
                 words = enumerate_universe("bounded_words", t=cell.t, n=cell.n, w=cell.w_eff)
                 shifted = {tuple(s + enc.shift for s in word) for word in words}

@@ -13,7 +13,7 @@ from bwcycles.grandmama import UCycle, generate_concat
 from bwcycles.msr import generate_msr
 from bwcycles.oracle import (VerifyReport, enumerate_universe, verify_listing, verify_stream,
                              verify_universal_cycle)
-from bwcycles.words import ParamSet
+from bwcycles.words import ParamSet, count_bounded_words
 
 
 def test_verify_good_cycle():
@@ -163,6 +163,8 @@ def test_named_universes_refuse_parameters_out_of_range(monkeypatch):
     for kind, params, message in cases:
         with pytest.raises(ValueError, match=f"^{kind} universes need {message}$"):
             verify_stream(iter([[0]]), kind, **params)
+        with pytest.raises(ValueError, match=f"^{kind} universes need {message}$"):
+            enumerate_universe(kind, **params)
     # the least values themselves pass on to the cap
     least = [("bounded_words", dict(t=1, n=1, w=0)),
              ("fixed_weight_words", dict(t=1, length=0, weight=-1)),
@@ -227,8 +229,8 @@ def test_enumeration_matches_reference():
         assert enumerate_universe(kind, **params) == _reference_universe(kind, **params), (
             kind, params)
     for t in range(1, 6):
-        for n in range(7):
-            for w in range(-1, n * (t - 1) + 2):
+        for n in range(1, 7):
+            for w in range(0, n * (t - 1) + 2):
                 assert (enumerate_universe("bounded_words", t=t, n=n, w=w)
                         == _reference_universe("bounded_words", t=t, n=n, w=w)), (t, n, w)
 
@@ -393,18 +395,26 @@ def test_weight_pruned_enumeration_matches_product_scan():
         for n in range(0, 7):
             words = list(product(range(t), repeat=n))
             for w in range(-1, n * (t - 1) + 2):
-                bounded = enumerate_universe("bounded_words", t=t, n=n, w=w)
-                assert bounded == [x for x in words if sum(x) <= w], (t, n, w)
+                bounded = [x for x in words if sum(x) <= w]
+                if n >= 1 and w >= 0:
+                    assert enumerate_universe("bounded_words", t=t, n=n, w=w) == bounded, (t, n, w)
                 assert enumerate_universe("fixed_weight_words", t=t, length=n, weight=w) == [
                     x for x in words if sum(x) == w], (t, n, w)
-                # the recursive mark array, the code list and the size agree with the tuples
+                # the mark array, the code list and the size agree with the tuples
                 codes = {sum(s * t ** (n - 1 - i) for i, s in enumerate(x)) for x in bounded}
                 marks = oracle._bounded_marks(t, n, w)
                 assert len(marks) == t ** n and set(marks) <= {0, 1}, (t, n, w)
                 assert {c for c, m in enumerate(marks) if m} == codes, (t, n, w)
                 listed = oracle._bounded_codes(t, n, w)
                 assert len(listed) == len(bounded) and set(listed) == codes, (t, n, w)
-                assert oracle._weight_fold(t, n, w, 1, lambda k: 0, sum) == len(bounded)
+                assert count_bounded_words(t, n, w) == len(bounded)
+
+
+def test_bounded_marks_build_long_words_without_recursion():
+    # 5000 levels of one symbol each; a recursion over word length would overflow the stack
+    assert oracle._bounded_marks(1, 5000, 0) == b"\x01"
+    assert oracle._bounded_marks(1, 5000, -1) == b"\x00"
+    assert oracle._bounded_codes(1, 5000, 0) == [0]
 
 
 @pytest.mark.slow

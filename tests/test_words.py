@@ -197,6 +197,25 @@ def test_count_bounded_words():
         count_bounded_words(0, 1, 0)
 
 
+def test_count_bounded_words_matches_a_product_count():
+    # every weight from below zero to past the top, and the empty word at n = 0
+    for t in range(1, 6):
+        for n in range(7):
+            weights = [sum(word) for word in product(range(t), repeat=n)]
+            for w in range(-2, n * (t - 1) + 3):
+                assert count_bounded_words(t, n, w) == sum(x <= w for x in weights), (t, n, w)
+    assert count_bounded_words(3, 0, 0) == 1 and count_bounded_words(3, 0, -1) == 0
+    with pytest.raises(ValueError):
+        count_bounded_words(0, 0, 0)
+    with pytest.raises(ValueError):
+        count_bounded_words(2, -1, 0)
+
+
+def test_count_bounded_words_on_a_large_encoded_cell():
+    # the k-subset cell of n = 20000, k = 10000: one binomial, no table of n * w entries
+    assert count_bounded_words(10001, 10000, 10000) == math.comb(20000, 10000)
+
+
 def test_universe_size_on_paramset():
     assert ParamSet(5, 3, 4).universe_size == 35
     assert ParamSet(4, 12, 18).universe_size == 9_240_426
