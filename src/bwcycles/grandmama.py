@@ -102,21 +102,11 @@ class UCycle:
 def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Iterator[list[int]]:
     """Yield the aperiodic prefix of every weight-bounded necklace, in colex order.
 
-    Concatenating the chunks gives the universal cycle. Memory stays O(n * t)
-    no matter how long the output is; chunks are fresh lists the caller may
-    keep. Most candidate children are decided by their zero runs; the necklace
-    tests that are left, one per undecided candidate, are tallied in ``stats``.
-    """
-    return _necklace_walk(params.t, params.n, params.w_eff, 0, 1, stats)
-
-
-def _necklace_walk(t, n, w, floor, step, stats):
-    """Walk the first-nonzero parent tree of length-n necklaces of weight at most w.
-
-    Yields, in pre-order, the aperiodic prefix of every node of weight >= ``floor``.
-    A node's children bump one position each, and are visited by increasing
-    position when ``step`` is 1 (colex order) or decreasing when it is -1. The
-    walk keeps one shared scratch word and an explicit stack.
+    Concatenating the chunks gives the universal cycle. Chunks are fresh lists
+    the caller may keep. The walk follows the first-nonzero parent tree of the
+    length-n necklaces of weight at most w in pre-order, visiting each node's
+    children, which bump one position each, by increasing position. It keeps
+    one shared scratch word and an explicit stack.
 
     Every node except the root is 0^i b, where b = a_i..a_(n-1) starts with
     a_i >= 1 and i, its change index, is the position its parent bumped; the
@@ -139,24 +129,22 @@ def _necklace_walk(t, n, w, floor, step, stats):
     What is left (a probe with i = 0 or L = i, the scan child at lo when
     lo = L or i = 2 lo + 1) is tested once with ``_period_count``, and the
     period is kept for entering the child, so every tested candidate is tested
-    exactly once. The root's period is 1 and costs no test.
+    exactly once; the tests are tallied in ``stats``. The root's period is 1
+    and costs no test.
 
     Besides the scratch word, memory is one frame per node with children on
     the current path (at most w + 1) and the kept periods of the children not
-    yet entered. Those are at most n in all when ``step`` is 1 (each frame
-    holds the positions between its entered child and its own change index),
-    and at most n per frame when it is -1. That is O(n * t) for the colex walk,
-    and for the reverse walk whenever w < t.
+    yet entered, at most n in all (each frame holds the positions between its
+    entered child and its own change index): O(n * t) no matter how long the
+    output is.
     """
+    t, n, w = params.t, params.n, params.w_eff
     a = [0] * n
     tmax = t - 1
-    tests = 0
-    iters = 0
-    symbols = 0
+    tests = iters = symbols = 0
     try:
-        if floor == 0:
-            yield [0]
-            symbols = 1
+        yield [0]
+        symbols = 1
         if w == 0:
             return
         # one frame per node with children on the current path: [periods of the
@@ -168,13 +156,12 @@ def _necklace_walk(t, n, w, floor, step, stats):
         while True:
             # enter the child that bumps position i
             i = fr[1]
-            fr[1] = i + step
+            fr[1] = i + 1
             a[i] += 1
             wt = fr[2]
             p = fr[0].pop()
-            if wt >= floor:
-                yield a[:p]
-                symbols += p
+            yield a[:p]
+            symbols += p
             if wt < w:
                 ps = []
                 # this node's L: a scan child adds the run 0^(ci-1-i) after its 1
@@ -215,11 +202,7 @@ def _necklace_walk(t, n, w, floor, step, stats):
                             j = lo
                 if ps:
                     # the children bump positions j+1 .. j+len(ps)
-                    if step > 0:
-                        fr = [ps, j + 1, wt + 1, i, L]
-                    else:
-                        ps.reverse()
-                        fr = [ps, j + len(ps), wt + 1, i, L]
+                    fr = [ps, j + 1, wt + 1, i, L]
                     stack.append(fr)
                     continue
             a[i] -= 1

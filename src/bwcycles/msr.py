@@ -10,14 +10,14 @@ colex-concatenation engine, but traversed in a different order.
 ``successor_h2`` is the O(n)-per-symbol rule (at most one necklace test per
 call), run by the streaming successor loop of ``bwcycles.grandmama`` with the
 missing symbol in the lead, and ``iter_msr_chunks`` streams it.
-``iter_reverse_colex_prefixes`` streams the concatenation of aperiodic
-prefixes of the weight-w necklaces in reverse colex order, through the same
-necklace walk as the colex concatenation, and ``check_conjecture`` compares
-the two streams symbol by symbol. Their equality is observed, not proved, and
+``iter_reverse_colex_prefixes`` walks that parent tree itself, from the root
+0^n w down, and streams the aperiodic prefixes of the weight-w necklaces in
+its preorder, which is reverse colex order; ``check_conjecture`` compares the
+two streams symbol by symbol. Their equality is observed, not proved, and
 ``combmaps.engine_chunks`` relies on it: an unseeded ``msr`` run (the CLI's
-included) streams the walk, which is about three times faster, and only a
-seeded one runs h2. ``generate_msr`` and ``iter_msr_chunks`` always run h2,
-so the comparison and the tests keep checking the equality.
+included) streams the walk, which is faster than h2 on every cell timed, and
+only a seeded one runs h2. ``generate_msr`` and ``iter_msr_chunks`` always
+run h2, so the comparison and the tests keep checking the equality.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from itertools import chain, zip_longest
 from typing import Iterator, Sequence
 
-from bwcycles.grandmama import (GenStats, UCycle, _exhaustive_successor, _necklace_walk,
-                                _one_successor, _successor_chunks, _successor_start,
-                                _validate_window)
-from bwcycles.words import ParamSet, Word
+from bwcycles.grandmama import (GenStats, UCycle, _exhaustive_successor, _one_successor,
+                                _successor_chunks, _successor_start, _validate_window)
+from bwcycles.words import ParamSet, Word, _period_count
 
 __all__ = [
     "successor_h2",
@@ -105,15 +104,81 @@ def iter_reverse_colex_prefixes(
     params: ParamSet, stats: GenStats | None = None
 ) -> Iterator[list[int]]:
     """Yield the aperiodic prefix of every length-(n+1), weight-w necklace, in
-    reverse colex order (needs w < t).
+    reverse colex order (needs w < t, checked before the iterator is returned)."""
+    _require_small_weight(params)
+    return _msr_tree_walk(params, stats)
 
-    This is the colex necklace walk on length n+1 and weights up to w, with
-    each node's children visited in reverse. The weight-w necklaces are exactly
-    the walk's leaves, so they come out in reverse colex order, in O(n * t)
-    memory.
+
+def _msr_tree_walk(params, stats):
+    """Walk the MSR parent tree of the weight-w necklaces of length N = n+1.
+
+    From the root 0^n w, a node whose first nonzero symbol is at f has at most
+    two children: child k (0, then 1) moves one unit of weight from j+1 to
+    j = f-1+k, which is the order that makes the preorder reverse colex. The
+    walk keeps one scratch word and a stack of [f, L, k] frames, L being the
+    node's longest zero run after its first nonzero symbol. A child that would
+    end in zero is refused. Otherwise its leading run j decides it against its
+    own L: j > L makes it a Lyndon word, j < L no necklace, and only a tie
+    costs one ``_period_count`` (tallied in ``stats``). Each edge moves a unit
+    of weight one place left, so the path holds at most n*w frames: O(n * t).
     """
-    t, n, w = _require_small_weight(params)
-    return _necklace_walk(t, n + 1, w, w, -1, stats)
+    N, w = params.n + 1, params.w_eff
+    a = [0] * N
+    a[-1] = w
+    tests = iters = symbols = 0
+    try:
+        # the root: 0^n w is a Lyndon word, or 0^(n+1) of period 1 with no children
+        p = N if w else 1
+        yield a[:p]
+        symbols = p
+        fr = [N - 1, 0, 0]
+        stack = [fr]
+        while True:
+            f, L, k = fr
+            if k == 2:
+                # both children done: undo this node's move and climb out
+                stack.pop()
+                if not stack:
+                    return
+                a[f] -= 1
+                a[f + 1] += 1
+                fr = stack[-1]
+                continue
+            fr[2] = k + 1
+            j = f - 1 + k
+            d = j + 1
+            s = a[d] if 0 <= j and d < N else 0
+            if not s:
+                continue
+            if s == 1:
+                # a[d] becomes zero and joins the zero run after it
+                if d == N - 1:
+                    continue
+                q = d + 1
+                while not a[q]:
+                    q += 1
+                if q - d > L:
+                    L = q - d
+            if j < L:
+                continue
+            a[j] += 1
+            a[d] = s - 1
+            p = N
+            if j == L:
+                p, it = _period_count(a, N)
+                tests += 1
+                iters += it
+                if not p:
+                    a[j] -= 1
+                    a[d] = s
+                    continue
+            yield a[:p]
+            symbols += p
+            fr = [j, L, 0]
+            stack.append(fr)
+    finally:
+        if stats is not None:
+            stats.add(symbols=symbols, tests=tests, comparisons=iters)
 
 
 def generate_reverse_colex(params: ParamSet, stats: GenStats | None = None) -> UCycle:

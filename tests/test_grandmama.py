@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwcycles import grandmama
+from bwcycles import grandmama, msr
 from bwcycles.grandmama import (
     GenStats,
     UCycle,
@@ -116,7 +116,7 @@ def test_walks_match_brute_force_on_small_alphabets_through_every_branch(monkeyp
         for w in range(n * (t - 1) + 1):
             expected = [list(word[:p]) for word, p in colex if sum(word) <= w]
             assert list(iter_concat_prefixes(ParamSet(t, n, w))) == expected, (t, n, w)
-        # the reverse walk yields only its leaves, of weight floor = w
+        # the reverse walk: length n+1, weight exactly w < t
         reverse = sorted(_brute_necklaces(t, n + 1, t - 1), key=_colex, reverse=True)
         for w in range(t):
             expected = [list(word[:p]) for word, p in reverse if sum(word) == w]
@@ -136,14 +136,20 @@ def test_walks_match_brute_force_on_small_alphabets_through_every_branch(monkeyp
 
 
 def test_walks_test_each_candidate_once(monkeypatch):
+    # each walk's necklace tests, recorded in the module that calls _period_count
     tested = []
-    real = grandmama._period_count
 
-    def recording(a, n):
-        tested.append(tuple(a[:n]))
-        return real(a, n)
+    def recording(module):
+        real = module._period_count
 
-    monkeypatch.setattr(grandmama, "_period_count", recording)
+        def record(a, n):
+            tested.append(tuple(a[:n]))
+            return real(a, n)
+
+        monkeypatch.setattr(module, "_period_count", record)
+
+    recording(grandmama)
+    recording(msr)
     for walk, (t, n, w) in [(iter_concat_prefixes, (4, 6, 9)), (iter_concat_prefixes, (5, 4, 8)),
                             (iter_reverse_colex_prefixes, (5, 4, 4)),
                             (iter_reverse_colex_prefixes, (7, 5, 6))]:
@@ -188,11 +194,11 @@ def test_concat_stats_pinned():
 
 
 def test_reverse_walk_stats_pinned():
-    # (necklace_tests, comparisons, symbols) of the reverse colex walk unseeded msr runs
+    # (necklace_tests, comparisons, symbols) of the MSR tree walk unseeded msr runs
     stats = GenStats()
     chunks = list(iter_reverse_colex_prefixes(ParamSet(7, 5, 6), stats))
     assert sum(map(len, chunks)) == 462
-    assert (stats.necklace_tests, stats.comparisons, stats.symbols) == (64, 306, 462)
+    assert (stats.necklace_tests, stats.comparisons, stats.symbols) == (37, 176, 462)
 
 
 def test_successor_h1_examples():
@@ -386,13 +392,14 @@ def test_cycle_is_universal_property(t, n, w):
 
 
 def test_comparison_budget_spot():
-    params = ParamSet(2, 6, 6)
-    stats = GenStats()
-    u = generate_concat(params, stats=stats)
-    # each counted iteration performs at most two symbol comparisons
-    assert 2 * stats.comparisons <= 16 * len(u)
-    assert stats.symbols == len(u)
-    assert stats.necklace_tests > 0
+    for t, n, w in [(2, 6, 6), (4, 10, 15)]:
+        params = ParamSet(t, n, w)
+        stats = GenStats()
+        u = generate_concat(params, stats=stats)
+        # each counted iteration performs at most two symbol comparisons
+        assert 2 * stats.comparisons <= 16 * len(u), (t, n, w, stats)
+        assert 0 < stats.necklace_tests <= len(u), (t, n, w, stats)
+        assert stats.symbols == len(u)
 
 
 def test_ucycle_windows_wrap():

@@ -15,7 +15,7 @@ from bwcycles.msr import (
     successor_h2,
 )
 from bwcycles.oracle import enumerate_universe, verify_universal_cycle
-from bwcycles.words import ParamSet, Word, words_iter
+from bwcycles.words import ParamSet, Word, necklace_info, words_iter
 
 
 GOLDEN = {
@@ -57,14 +57,19 @@ def _reference_reverse_colex(t, n, w):
     return tuple(out)
 
 
-# every cell with w < t, t <= 8, n <= 6 and t^(n+1) <= 10^6
+# every cell with w < t, t <= 8, n <= 7 and t^(n+1) <= 10^6
 DIFFERENTIAL_GRID = [
     (t, n, w)
     for t in range(1, 9)
-    for n in range(1, 7)
+    for n in range(1, 8)
     if t ** (n + 1) <= 10**6
     for w in range(t)
 ]
+
+# cells with w >> n, where most necklaces of weight at most w are lighter than
+# w: the cells of --subsets 1000 1, --multisets-diff 300 2, --subsets 300 2 and
+# --multisets-diff 60 3
+HEAVY_CELLS = [(1000, 1, 999), (300, 2, 299), (299, 2, 298), (60, 3, 59)]
 
 
 @pytest.mark.slow
@@ -75,11 +80,75 @@ def test_reverse_colex_matches_reference():
 
 
 def test_reverse_colex_comparison_budget():
-    # the C5 budget: at most two symbol comparisons per loop, 16 per symbol
-    for t, n, w in DIFFERENTIAL_GRID:
+    # the C5 budget: at most two symbol comparisons per loop, 16 per symbol,
+    # and at most one necklace test per symbol
+    for t, n, w in DIFFERENTIAL_GRID + HEAVY_CELLS + [(10, 11, 9), (10, 13, 9)]:
         stats = GenStats()
         generate_reverse_colex(ParamSet(t, n, w), stats=stats)
         assert 2 * stats.comparisons <= 16 * stats.symbols, (t, n, w, stats)
+        assert stats.necklace_tests <= stats.symbols, (t, n, w, stats)
+
+
+@pytest.mark.slow
+def test_reverse_colex_walks_the_msr_tree(monkeypatch):
+    # the walk's chunks are the aperiodic prefixes of the MSR tree's preorder,
+    # and every kind of decision it makes turns up on the grid
+    from bwcycles.cyclejoin import FeedbackKind, build_tree
+
+    tested = {}
+    real = msr._period_count
+
+    def recording(a, n):
+        p, it = real(a, n)
+        word = tuple(a[:n])
+        assert word not in tested, word
+        tested[word] = p
+        return p, it
+
+    monkeypatch.setattr(msr, "_period_count", recording)
+    seen = set()
+    for t, n, w in DIFFERENTIAL_GRID:
+        p = ParamSet(t, n, w)
+        tree = build_tree(FeedbackKind.MSR, p)
+        tested.clear()
+        expected = [list(node[:necklace_info(node).aperiodic_prefix_len]) for node in tree.preorder()]
+        assert list(msr.iter_reverse_colex_prefixes(p)) == expected, (t, n, w)
+        candidates = set()
+        for node in tree.preorder():
+            f = next((i for i, s in enumerate(node) if s), n)
+            for j in (f - 1, f):
+                if j < 0 or j + 1 > n or not node[j + 1]:
+                    continue
+                child = list(node)
+                child[j] += 1
+                child[j + 1] -= 1
+                child = tuple(child)
+                candidates.add(child)
+                in_tree = child in tree.children[node]
+                if not child[-1]:
+                    assert child not in tested, child
+                    seen.add("trailing zero")
+                elif child not in tested:
+                    assert not in_tree or necklace_info(child).aperiodic_prefix_len == n + 1
+                    seen.add("Lyndon by runs" if in_tree else "refused by runs")
+                elif not tested[child]:
+                    assert not in_tree, child
+                    seen.add("tested, no necklace")
+                else:
+                    assert in_tree, child
+                    seen.add("tested, aperiodic" if tested[child] == n + 1 else "tested, periodic")
+        assert tested.keys() <= candidates, (t, n, w)
+    assert seen == {"trailing zero", "Lyndon by runs", "refused by runs", "tested, no necklace",
+                    "tested, aperiodic", "tested, periodic"}
+
+
+def test_check_conjecture_where_w_dwarfs_n():
+    # unseeded msr streams the tree walk in place of h2, so they must agree on
+    # the encoded cells with w >> n too
+    for t, n, w in HEAVY_CELLS:
+        rep = check_conjecture(ParamSet(t, n, w))
+        assert rep.holds, (t, n, w, rep)
+        assert rep.length_msr == rep.length_reverse_colex == ParamSet(t, n, w).universe_size
 
 
 def test_successor_h2_examples():
