@@ -9,7 +9,7 @@ Encoded kinds are read from ``combmaps.ENCODINGS`` and every engine starts
 through ``combmaps.engine_chunks``. A seed window is checked before anything
 is written, and --stats reports the same counters as the library run of the
 same cycle: the colex walk's for unseeded grandmama, the msr tree walk's for
-unseeded msr and reverse-colex, the successor rule's for a seeded run. Exit
+unseeded msr and reverse-colex, the rule steps' and the walk's for a seeded run. Exit
 codes: 0 success, 1 verification failure, 2 usage or parameter error (a
 ValueError, raised here or by the library layer that owns the rule), and
 every error prints a single "error: ..." line on stderr.

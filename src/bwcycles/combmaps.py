@@ -28,8 +28,9 @@ from dataclasses import dataclass, replace
 from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterator, Sequence
 
-from bwcycles.grandmama import GenStats, UCycle, iter_concat_prefixes, iter_successor_chunks
-from bwcycles.msr import iter_msr_chunks, iter_reverse_colex_prefixes
+from bwcycles.grandmama import (GenStats, UCycle, _concat_walk, _resumed_chunks,
+                                _successor_start, iter_concat_prefixes)
+from bwcycles.msr import _msr_tree_walk, _require_small_weight, iter_reverse_colex_prefixes
 from bwcycles.words import ParamSet, Word, _symbols, count_bounded_words
 
 __all__ = [
@@ -165,16 +166,19 @@ def engine_chunks(
     Errors are raised here, not at the first chunk. Unseeded, grandmama runs
     the colex concatenation walk and msr the reverse-colex one, which emits the
     same symbols as the h2 rule on every cell checked (``msr.check_conjecture``
-    and the tests compare the two). A ``start`` window switches grandmama to h1
-    and msr to h2, and ``steps`` bounds those successor calls; the
-    concatenation walks take neither.
+    and the tests compare the two). A ``start`` window gives h1's (grandmama) or
+    h2's (msr) symbols from it, ``steps`` bounding the rule calls they stand for:
+    the rule runs only to the first chunk end and the walk resumes there.
     """
+    if engine in ("grandmama", "msr") and start is not None:
+        msr = engine == "msr"
+        if msr:
+            _require_small_weight(params)
+        chunks = _resumed_chunks(params, *_successor_start(params, start, steps), stats, msr,
+                                 _msr_tree_walk if msr else _concat_walk)
+        return ("msr" if msr else "grandmama-successor"), chunks
     if engine == "grandmama":
-        if start is None:
-            return "grandmama-concat", iter_concat_prefixes(params, stats)
-        return "grandmama-successor", iter_successor_chunks(params, start, steps, stats)
-    if engine == "msr" and start is not None:
-        return "msr", iter_msr_chunks(params, start, steps, stats)
+        return "grandmama-concat", iter_concat_prefixes(params, stats)
     if engine not in ("msr", "reverse-colex"):
         raise ValueError(f"unknown engine {engine!r}")
     if start is not None:

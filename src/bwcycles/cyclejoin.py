@@ -27,8 +27,8 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from bwcycles.msr import _require_small_weight
-from bwcycles.words import (MAX_SCAN_WORDS, ParamSet, Word, _render, _symbols,
-                            enumerate_bounded_necklaces, necklace_info, words_iter)
+from bwcycles.words import (MAX_SCAN_WORDS, ParamSet, Word, _colex_key, _period_count, _render,
+                            _symbols, enumerate_bounded_necklaces, necklace_info, words_iter)
 
 __all__ = [
     "FeedbackKind",
@@ -228,23 +228,22 @@ def build_tree(
 ) -> CycleTree:
     """Materialize the full parent-rule tree for one register.
 
-    The labels come from ``enumerate_bounded_necklaces`` (weight exactly w for
-    MSR), so this is for desk-scale instances. Trees above ``max_nodes``
-    (default 10^6) are refused, and so, before the scan, are cells with more
-    than ``max_nodes`` * L candidate words: each length-L necklace stands for
-    at most L of them. So are cells whose scan, every length-L word of weight
-    at most w, is longer than the enumerator's ``MAX_SCAN_WORDS``. Both trees
-    have ``params.universe_size`` candidates: for w < t, a weight-w MSR label of
-    length n+1 is a bounded window with its missing symbol appended.
+    Both trees scan their ``params.universe_size`` candidates, so this is for
+    desk-scale instances: the PCR labels come from ``enumerate_bounded_necklaces``,
+    and for w < t each MSR label of length n+1 is a bounded window with its
+    missing symbol appended. Trees above ``max_nodes`` (default 10^6) are refused,
+    and so, before the scan, are cells with more than ``max_nodes`` * L candidate
+    words: each length-L necklace stands for at most L of them. So are cells with
+    more length-L words of weight at most w than the enumerator's ``MAX_SCAN_WORDS``
+    (for MSR, (n+1+w)/(n+1) times the windows it scans).
     """
-    if kind is FeedbackKind.MSR:
+    msr = kind is FeedbackKind.MSR
+    if msr:
         t, n, w = _require_small_weight(params)
-        label_len, floor = n + 1, w
-        root, parent_of, pair_of = (0,) * n + (w,), _msr_parent, _msr_pair
+        label_len, root, parent_of, pair_of = n + 1, (0,) * n + (w,), _msr_parent, _msr_pair
     else:
         t, n, w = params.t, params.n, params.w_eff
-        label_len, floor = n, 0
-        root, parent_of, pair_of = (0,) * n, _pcr_parent, _pcr_pair
+        label_len, root, parent_of, pair_of = n, (0,) * n, _pcr_parent, _pcr_pair
     words = params.universe_size
     if words > max_nodes * label_len:
         raise ValueError(f"scanning {words} words would exceed the {max_nodes}-node cap")
@@ -252,8 +251,11 @@ def build_tree(
     if scanned.universe_size > MAX_SCAN_WORDS:
         raise ValueError(f"tree would scan {scanned.universe_size} words, above the"
                          f" {MAX_SCAN_WORDS}-word limit of the necklace scan")
-    necklaces = enumerate_bounded_necklaces(scanned)
-    labels = [nk.symbols for nk in necklaces if nk.weight >= floor]
+    if msr:
+        found = (win + (w - sum(win),) for win in words_iter(t, n, w))
+        labels = sorted((lab for lab in found if _period_count(lab, label_len)[0]), key=_colex_key)
+    else:
+        labels = [nk.symbols for nk in enumerate_bounded_necklaces(scanned)]
     if len(labels) > max_nodes:
         raise ValueError(f"tree has {len(labels)} nodes, above the cap {max_nodes}")
 

@@ -138,21 +138,51 @@ def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Ite
     entered child and its own change index): O(n * t) no matter how long the
     output is.
     """
+    return _concat_walk(params, stats)
+
+
+def _concat_walk(params, stats, after=None):
+    """The walk of ``iter_concat_prefixes``; given ``after``, a necklace other than
+    0^n, it starts by entering that node: its chunk comes first, then the rest."""
     t, n, w = params.t, params.n, params.w_eff
-    a = [0] * n
     tmax = t - 1
     tests = iters = symbols = 0
     try:
-        yield [0]
-        symbols = 1
-        if w == 0:
-            return
-        # one frame per node with children on the current path: [periods of the
-        # children left, in reverse visiting order, next child's position, child
-        # weight, change index, L]. The root's frame holds its only child
-        # 0^(n-1)1 (w >= 1, so t >= 2), a Lyndon word, and the L it keeps.
-        fr = [[n], n - 1, 1, n - 1, 0]
-        stack = [fr]
+        if after is None:
+            a = [0] * n
+            yield [0]
+            symbols = 1
+            if w == 0:
+                return
+            # one frame per node with children on the current path: [periods of the
+            # children left, in reverse visiting order, next child's position, child
+            # weight, change index, L]. The root's frame holds its only child
+            # 0^(n-1)1 (w >= 1, so t >= 2), a Lyndon word, and the L it keeps.
+            stack = [[[n], n - 1, 1, n - 1, 0]]
+        else:
+            # the path down to ``after``'s parent, whose bumps undo the decrements of
+            # first nonzero symbols; each frame keeps the periods of the children from
+            # the one on the path on, each candidate tested (n + w tests at most)
+            a, stack, ci, L = [0] * n, [], n - 1, 0
+            for c in reversed([i for i, s in enumerate(after) for _ in range(s)]):
+                if stack:
+                    # enter the child on the path, as the walk does
+                    stack[-1][0].pop()
+                    stack[-1][1] += 1
+                    a[ci] += 1
+                ps = []
+                for q in range(ci, c - 1, -1):
+                    a[q] += 1
+                    if a[q] < t:
+                        p, it = _period_count(a, n)
+                        tests += 1
+                        iters += it
+                        if p:
+                            ps.append(p)
+                    a[q] -= 1
+                stack.append([ps, c, len(stack) + 1, ci, L])
+                ci, L = c, max(L, ci - 1 - c)
+        fr = stack[-1]
         while True:
             # enter the child that bumps position i
             i = fr[1]
@@ -425,6 +455,45 @@ def _successor_chunks(params, syms, steps, stats, msr):
         if stats is not None:
             stats.add(symbols=k, tests=tests, comparisons=iters)
         yield chunk
+
+
+def _resumed_chunks(params, syms, steps, stats, msr, walk):
+    """``_successor_chunks(params, syms, steps, stats, msr)``'s symbols, mostly from a walk.
+
+    A window W ends a necklace's chunk exactly when W is that necklace (h1, W not
+    0^n) or [z] + W is (h2, z = w - weight(W)), as the tests check on a grid. So
+    the rule steps only until that holds, at most n+1 times, ``walk(params, stats,
+    after)`` resumes there and fresh walks (``after`` None) go round the cycle.
+    """
+    n, w = params.n, params.w_eff
+    counted, head, left = GenStats(), list(syms), steps
+    walks = walk(params, counted, None)  # replaced by the resumed walk at a chunk end
+    try:
+        while left:
+            win = head[-n:]
+            node = [w - sum(win), *win] if msr else win
+            p, it = _period_count(node, len(node))
+            counted.add(tests=1, comparisons=it)
+            if p and (msr or any(win)):
+                walks = walk(params, counted, node)
+                if not msr:
+                    next(walks)  # the concatenation walk enters ``node`` again
+                break
+            head.append(_one_successor(params, win, msr, counted))
+            left -= 1
+        yield head
+        while left > 0:
+            for chunk in walks:
+                left -= len(chunk)
+                yield chunk if left >= 0 else chunk[:left]
+                if left <= 0:
+                    return
+            walks = walk(params, counted, None)
+    finally:
+        walks.close()
+        if stats is not None:
+            stats.add(symbols=len(syms) + steps - max(left, 0), tests=counted.necklace_tests,
+                      comparisons=counted.comparisons)
 
 
 def generate_by_successor(

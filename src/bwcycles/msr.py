@@ -14,10 +14,10 @@ missing symbol in the lead, and ``iter_msr_chunks`` streams it.
 0^n w down, and streams the aperiodic prefixes of the weight-w necklaces in
 its preorder, which is reverse colex order; ``check_conjecture`` compares the
 two streams symbol by symbol. Their equality is observed, not proved, and
-``combmaps.engine_chunks`` relies on it: an unseeded ``msr`` run (the CLI's
-included) streams the walk, which is faster than h2 on every cell timed, and
-only a seeded one runs h2. ``generate_msr`` and ``iter_msr_chunks`` always
-run h2, so the comparison and the tests keep checking the equality.
+``combmaps.engine_chunks`` relies on it: ``msr`` runs (the CLI's included)
+stream the walk, which is faster than h2 on every cell timed, a seeded one
+after h2 steps to its first chunk end. ``generate_msr`` and ``iter_msr_chunks``
+always run h2, so the comparison and the tests keep checking the equality.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def iter_reverse_colex_prefixes(
     return _msr_tree_walk(params, stats)
 
 
-def _msr_tree_walk(params, stats):
+def _msr_tree_walk(params, stats, after=None):
     """Walk the MSR parent tree of the weight-w necklaces of length N = n+1.
 
     From the root 0^n w, a node whose first nonzero symbol is at f has at most
@@ -121,18 +121,32 @@ def _msr_tree_walk(params, stats):
     own L: j > L makes it a Lyndon word, j < L no necklace, and only a tie
     costs one ``_period_count`` (tallied in ``stats``). Each edge moves a unit
     of weight one place left, so the path holds at most n*w frames: O(n * t).
+    Given ``after``, a node of the tree, the walk resumes just after it.
     """
     N, w = params.n + 1, params.w_eff
-    a = [0] * N
-    a[-1] = w
     tests = iters = symbols = 0
     try:
-        # the root: 0^n w is a Lyndon word, or 0^(n+1) of period 1 with no children
-        p = N if w else 1
-        yield a[:p]
-        symbols = p
-        fr = [N - 1, 0, 0]
-        stack = [fr]
+        if after is None:
+            a = [0] * (N - 1) + [w]
+            # the root: 0^n w is a Lyndon word, or 0^(n+1) of period 1 with no children
+            p = N if w else 1
+            yield a[:p]
+            symbols = p
+            stack = [[N - 1, 0, 0]]
+        else:
+            # frames up the path by msr_parent's move, k one past the child on the path
+            a, b, stack, k = list(after), list(after), [], 0
+            f = next((i for i, s in enumerate(b) if s), N - 1)
+            while True:
+                stack.append([f, max(map(len, bytes(map(bool, b[f:])).split(b"\1"))), k])
+                if f == N - 1:
+                    break
+                b[f] -= 1
+                b[f + 1] += 1
+                k = 2 if b[f] else 1
+                f += not b[f]
+            stack.reverse()
+        fr = stack[-1]
         while True:
             f, L, k = fr
             if k == 2:
@@ -230,8 +244,8 @@ def check_conjecture(params: ParamSet) -> ConjectureReport:
     Both sequences are anchored at the all-zero window (the reverse-colex
     concatenation starts with the 0...0w necklace, so its first n symbols are
     zeros). Divergence is reported, not raised, so a sweep lists every
-    divergent cell. The equality is an open observation that unseeded ``msr``
-    runs in ``combmaps.engine_chunks`` rely on, so a divergent cell would mean
+    divergent cell. The equality is an open observation that ``msr`` runs in
+    ``combmaps.engine_chunks``, seeded or not, rely on, so a divergent cell would mean
     that those runs emit the reverse-colex sequence rather than h2's there.
     The shorter stream reads as -1 past its end.
     """

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bwcycles import cli, grandmama, msr
+from bwcycles import cli, combmaps, grandmama, msr
 from bwcycles.cli import main
 from bwcycles.combmaps import (
     ENCODINGS,
@@ -369,6 +369,12 @@ def _reverse_colex_head(p, stats, limit):
     return UCycle(head, p, "reverse-colex")
 
 
+def _seeded_run(p, engine, start, steps, stats):
+    """The library's seeded run, as ``engine_chunks`` starts it for the CLI."""
+    tag, chunks = combmaps.engine_chunks(p, engine, start, steps, stats)
+    return UCycle(tuple(chain.from_iterable(chunks)), p, tag)
+
+
 def test_generate_stats_on_stderr(capsys):
     code, out, err = run(capsys, "generate", "--t", "5", "--n", "3", "--w", "4",
                          "--format", "compact", "--stats")
@@ -382,18 +388,19 @@ def test_generate_stats_on_stderr(capsys):
     assert code == 0 and out.strip() == "00010"
     assert err.startswith("stats: symbols=5 ")
 
-    # a successor or reverse-colex run counts exactly what the library does for the
+    # a seeded or reverse-colex run counts exactly what the library does for the
     # same cycle; a cut concatenation walk stops after the chunk that reaches the limit.
-    # Unseeded msr streams the reverse-colex walk, seeded msr runs h2.
+    # Unseeded msr streams the reverse-colex walk; a seeded run steps its rule to a
+    # chunk end and resumes the walk there.
     p = ParamSet(5, 3, 4)
     for flags, build in [
         (("--engine", "msr"), lambda stats: generate_reverse_colex(p, stats=stats)),
         (("--engine", "msr", "--seed-window", "0,0,4"),
-         lambda stats: generate_msr(p, start=(0, 0, 4), stats=stats)),
+         lambda stats: _seeded_run(p, "msr", (0, 0, 4), None, stats)),
         (("--seed-window", "0,0,4"),
-         lambda stats: generate_by_successor(p, start=(0, 0, 4), stats=stats)),
+         lambda stats: _seeded_run(p, "grandmama", (0, 0, 4), None, stats)),
         (("--seed-window", "0,0,4", "--limit", "10"),
-         lambda stats: generate_by_successor(p, start=(0, 0, 4), steps=10 - p.n, stats=stats)),
+         lambda stats: _seeded_run(p, "grandmama", (0, 0, 4), 10 - p.n, stats)),
         (("--engine", "reverse-colex"), lambda stats: generate_reverse_colex(p, stats=stats)),
         (("--engine", "reverse-colex", "--limit", "10"),
          lambda stats: _reverse_colex_head(p, stats, 10)),
@@ -414,11 +421,9 @@ def test_generate_stats_across_successor_chunks(capsys):
     for flags, build in [
         (("--engine", "msr"), lambda stats: _reverse_colex_head(p, stats, limit)),
         (("--engine", "msr", "--seed-window", "0,1,0,2,0,0,3"),
-         lambda stats: generate_msr(p, start=(0, 1, 0, 2, 0, 0, 3), steps=limit - p.n,
-                                    stats=stats)),
+         lambda stats: _seeded_run(p, "msr", (0, 1, 0, 2, 0, 0, 3), limit - p.n, stats)),
         (("--seed-window", "0,1,0,2,0,0,3"),
-         lambda stats: generate_by_successor(p, start=(0, 1, 0, 2, 0, 0, 3), steps=limit - p.n,
-                                             stats=stats)),
+         lambda stats: _seeded_run(p, "grandmama", (0, 1, 0, 2, 0, 0, 3), limit - p.n, stats)),
     ]:
         stats = GenStats()
         cycle = build(stats)
@@ -426,7 +431,7 @@ def test_generate_stats_across_successor_chunks(capsys):
                              "--format", "compact", "--stats", "--limit", str(limit), *flags)
         assert code == 0 and out.strip() == str(cycle), flags
         assert len(cycle) == limit, flags
-        if "--seed-window" in flags:  # a successor run stops at the last kept symbol
+        if "--seed-window" in flags:  # a seeded run stops at the last kept symbol
             assert stats.symbols == limit, flags
         assert err == (f"stats: symbols={limit} necklace_tests={stats.necklace_tests}"
                        f" comparisons={stats.comparisons}\n"), flags
@@ -576,6 +581,50 @@ def test_unseeded_msr_output_matches_h2(capsys, monkeypatch):
     shipped = [run(capsys, *argv) for argv in argvs]
     assert sum(code == 0 for code, _, _ in shipped) > 3000
     monkeypatch.setattr(cli, "engine_chunks", _h2_dispatch)
+    for argv, got in zip(argvs, shipped):
+        assert run(capsys, *argv) == got, argv
+
+
+def _successor_dispatch(params, engine, start=None, steps=None, stats=None):
+    """A dispatch that runs h1 or h2 for the whole of a seeded run: the reference
+    for seeded runs, which resume a necklace walk after a few rule steps."""
+    if start is not None and engine == "grandmama":
+        return "grandmama-successor", grandmama.iter_successor_chunks(params, start, steps, stats)
+    if start is not None and engine == "msr":
+        return "msr", msr.iter_msr_chunks(params, start, steps, stats)
+    return combmaps.engine_chunks(params, engine, start, steps, stats)
+
+
+@pytest.mark.slow
+def test_seeded_output_matches_the_successor_rules(capsys, monkeypatch):
+    # each argv runs as shipped and then with the rule running the whole seeded run,
+    # and stdout, stderr and the exit code must agree exactly
+    cells = [(["--t", str(t), "--n", str(n), "--w", str(w)], ParamSet(t, n, w), 0)
+             for t in (1, 2, 3, 5) for n in (1, 2, 4) for w in sorted({0, t - 1, t, n * t})]
+    cells += [([f"--{kind}", str(n), str(k)], enc.params(n, k), enc.shift)
+              for kind, enc in ENCODINGS.items() for n in range(2, 6) for k in range(2, n + 1)
+              if enc.accepts(n, k)]
+    argvs = []
+    for flags, p, shift in cells:
+        cycle, n, length = generate_concat(p).symbols, p.n, p.universe_size
+        ring = cycle * (n // len(cycle) + 2)
+        seeds = {",".join(str(s + shift) for s in ring[i : i + n]) for i in (1, len(cycle) // 2)}
+        heavy = ",".join([str(p.t - 1 + shift)] * n)  # refused when w < n(t-1)
+        for engine in ("grandmama", "msr"):
+            argvs.append(["generate", *flags, "--engine", engine, "--seed-window", heavy])
+            for seed in sorted(seeds):
+                argv = [*flags, "--engine", engine, "--seed-window", seed]
+                argvs.append(["verify", *argv])
+                argvs += [["decode", *argv, "--position", str(pos)]
+                          for pos in sorted({n - 1, length - 1})]
+                for fmt in FORMATS:
+                    argvs.append(["generate", *argv, "--format", fmt])
+                    for limit in sorted({0, 1, n - 1, n + 1, length, 2 * length + 3}):
+                        argvs.append(["generate", *argv, "--format", fmt, "--limit", str(limit)])
+    shipped = [run(capsys, *argv) for argv in argvs]
+    assert sum(code == 0 for code, _, _ in shipped) > 3000
+    assert sum(code == 2 for code, _, _ in shipped) > 300
+    monkeypatch.setattr(cli, "engine_chunks", _successor_dispatch)
     for argv, got in zip(argvs, shipped):
         assert run(capsys, *argv) == got, argv
 

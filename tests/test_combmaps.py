@@ -23,7 +23,7 @@ from bwcycles.combmaps import (
     ucycle_multisets_freq,
     ucycle_subsets,
 )
-from bwcycles.grandmama import UCycle, generate_concat
+from bwcycles.grandmama import UCycle, generate_concat, iter_successor_chunks
 from bwcycles.msr import generate_msr, iter_msr_chunks
 from bwcycles.oracle import enumerate_universe, verify_universal_cycle
 from bwcycles.words import ParamSet, Word
@@ -258,6 +258,48 @@ def test_unseeded_msr_dispatch_emits_the_h2_bytes():
         with pytest.raises(ValueError) as got:
             engine_chunks(p, "msr")
         assert str(got.value) == str(expected.value)
+
+
+# every cell with t <= 5, n <= 5 and at most 200 words, plus single-word universes
+# (t = 1, w = 0 and the cell of --subsets 4 4) and alphabets wider than a byte
+SEEDED_GRID = [
+    (t, n, w)
+    for t in range(1, 6)
+    for n in range(1, 6)
+    for w in range(n * (t - 1) + 1)
+    if ParamSet(t, n, w).universe_size <= 200
+] + [(1, 4, 0), (3, 4, 0), (1, 1, 0), (300, 1, 299), (260, 2, 3), (257, 2, 20)]
+
+
+@pytest.mark.slow
+def test_seeded_runs_emit_the_successor_rules_symbols():
+    # a seeded run steps the rule only to the first chunk end, then resumes a walk;
+    # the rule's symbols from a window depend on the window alone, so one long run
+    # of the rule from 0^n holds its run from every window of the cycle
+    assert ENCODINGS["subsets"].params(4, 4) == ParamSet(1, 4, 0)
+    runs = 0
+    for t, n, w in SEEDED_GRID:
+        p = ParamSet(t, n, w)
+        size = p.universe_size
+        for engine, rule in [("grandmama", iter_successor_chunks), ("msr", iter_msr_chunks)]:
+            if engine == "msr" and w >= t:
+                continue
+            ref = list(itertools.chain.from_iterable(rule(p, None, 3 * size + 3)))
+            for i in range(size):
+                start = ref[i : i + n]
+                for steps in (0, 1, n, None, 2 * size + 3):
+                    tag, chunks = engine_chunks(p, engine, start, steps)
+                    got = list(itertools.chain.from_iterable(chunks))
+                    if steps is None:
+                        # one period; a single-word universe's cycle is shorter than n
+                        expected = list(itertools.chain.from_iterable(rule(p, start)))
+                        assert expected == (ref[i : i + size] if size >= n else [0] * size)
+                    else:
+                        expected = ref[i : i + n + steps]
+                    assert got == expected, (p, engine, start, steps)
+                    runs += 1
+            assert tag == ("msr" if engine == "msr" else "grandmama-successor")
+    assert runs > 20_000
 
 
 # --- multiset universal cycles -------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwcycles import grandmama, msr
+from bwcycles.combmaps import engine_chunks
 from bwcycles.grandmama import (
     GenStats,
     UCycle,
@@ -93,6 +94,39 @@ def test_walks_match_brute_force_chunk_for_chunk_on_a_wide_grid():
         for w in range(t):
             expected = [list(word[:p]) for word, p in reverse if sum(word) == w]
             assert list(iter_reverse_colex_prefixes(ParamSet(t, n, w))) == expected, (t, n, w)
+
+
+def _chunk_ends(chunks):
+    """(the cycle, {position of each chunk's last symbol: that chunk})."""
+    cycle, ends = [], {}
+    for chunk in chunks:
+        cycle += chunk
+        ends[len(cycle) - 1] = chunk
+    return cycle, ends
+
+
+@pytest.mark.slow
+def test_necklace_windows_end_exactly_the_concat_chunks():
+    # a seeded grandmama run resumes the walk where its window is a necklace other
+    # than 0^n: such a window ends exactly that necklace's chunk, and so does every
+    # chunk end but the first, the root's [0] at position 0
+    cells = 0
+    for t in range(1, 7):
+        for n in range(1, 8):
+            for w in range(n * (t - 1) + 1):
+                p = ParamSet(t, n, w)
+                if not n <= p.universe_size <= 3 * 10**4:
+                    continue
+                cells += 1
+                cycle, ends = _chunk_ends(iter_concat_prefixes(p))
+                size = len(cycle)
+                for e in range(size):
+                    win = [cycle[(e - n + 1 + d) % size] for d in range(n)]
+                    marked = any(win) and necklace_info(win).is_necklace
+                    assert marked == (e in ends and e > 0), (p, e)
+                    if marked:
+                        assert ends[e] == win[: len(ends[e])], (p, e)
+    assert cells == 372
 
 
 # every (t, n) with t = 2 and n <= 12 or t = 3 and n <= 8
@@ -391,6 +425,12 @@ def test_cycle_is_universal_property(t, n, w):
     assert verify_universal_cycle(cycle, universe).ok
 
 
+# seeds in the middle of the cycles of (4,10,15), (10,11,9) and --multisets-diff 300 2
+SEEDED_BUDGET_CELLS = [(ParamSet(4, 10, 15), (0, 1, 0, 2, 0, 0, 3, 0, 0, 1)),
+                       (ParamSet(10, 11, 9), (0, 1, 0, 2, 0, 0, 3, 0, 0, 1, 0)),
+                       (ParamSet(300, 2, 299), (150, 43))]
+
+
 def test_comparison_budget_spot():
     for t, n, w in [(2, 6, 6), (4, 10, 15)]:
         params = ParamSet(t, n, w)
@@ -400,6 +440,14 @@ def test_comparison_budget_spot():
         assert 2 * stats.comparisons <= 16 * len(u), (t, n, w, stats)
         assert 0 < stats.necklace_tests <= len(u), (t, n, w, stats)
         assert stats.symbols == len(u)
+    # a seeded full period: the rule's steps to a chunk end, the rebuilt path, the walk
+    for params, seed in SEEDED_BUDGET_CELLS:
+        stats = GenStats()
+        _, chunks = engine_chunks(params, "grandmama", seed, None, stats)
+        assert sum(map(len, chunks)) == stats.symbols == params.universe_size, params
+        assert 2 * stats.comparisons <= 16 * stats.symbols, (params, stats)
+        assert stats.necklace_tests <= stats.symbols, (params, stats)
+
 
 
 def test_ucycle_windows_wrap():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwcycles import msr
+from bwcycles.combmaps import engine_chunks
 from bwcycles.grandmama import GenStats, iter_successor_chunks
 from bwcycles.msr import (
     check_conjecture,
@@ -87,6 +88,14 @@ def test_reverse_colex_comparison_budget():
         generate_reverse_colex(ParamSet(t, n, w), stats=stats)
         assert 2 * stats.comparisons <= 16 * stats.symbols, (t, n, w, stats)
         assert stats.necklace_tests <= stats.symbols, (t, n, w, stats)
+    # a seeded full period: the rule's steps to a chunk end, the rebuilt path, the walk
+    for params, seed in [(ParamSet(10, 11, 9), (0, 1, 0, 2, 0, 0, 3, 0, 0, 1, 0)),
+                         (ParamSet(300, 2, 299), (150, 43)), (ParamSet(300, 2, 299), (0, 299))]:
+        stats = GenStats()
+        _, chunks = engine_chunks(params, "msr", seed, None, stats)
+        assert sum(map(len, chunks)) == stats.symbols == params.universe_size, params
+        assert 2 * stats.comparisons <= 16 * stats.symbols, (params, stats)
+        assert stats.necklace_tests <= stats.symbols, (params, stats)
 
 
 @pytest.mark.slow
@@ -140,6 +149,30 @@ def test_reverse_colex_walks_the_msr_tree(monkeypatch):
         assert tested.keys() <= candidates, (t, n, w)
     assert seen == {"trailing zero", "Lyndon by runs", "refused by runs", "tested, no necklace",
                     "tested, aperiodic", "tested, periodic"}
+
+
+def test_missing_symbol_necklaces_end_exactly_the_msr_chunks():
+    # a seeded msr run resumes the walk where [z] + W, its window W with the
+    # missing symbol z = w - weight(W) in front, is a necklace: that holds exactly
+    # at the chunk ends, and the necklace is the chunk's
+    cells = 0
+    for t in range(1, 8):
+        for n in range(1, 7):
+            for w in range(t):
+                cells += 1
+                cycle, ends = [], {}
+                for chunk in msr.iter_reverse_colex_prefixes(ParamSet(t, n, w)):
+                    cycle += chunk
+                    ends[len(cycle) - 1] = chunk
+                size = len(cycle)
+                for e in range(size):
+                    win = [cycle[(e - n + 1 + d) % size] for d in range(n)]
+                    word = [w - sum(win), *win]
+                    marked = necklace_info(word).is_necklace
+                    assert marked == (e in ends), (t, n, w, e)
+                    if marked:
+                        assert ends[e] == word[: len(ends[e])], (t, n, w, e)
+    assert cells == 168
 
 
 def test_check_conjecture_where_w_dwarfs_n():
