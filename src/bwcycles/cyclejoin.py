@@ -234,8 +234,7 @@ def build_tree(
     missing symbol appended. Trees above ``max_nodes`` (default 10^6) are refused,
     and so, before the scan, are cells with more than ``max_nodes`` * L candidate
     words: each length-L necklace stands for at most L of them. So are cells with
-    more length-L words of weight at most w than the enumerator's ``MAX_SCAN_WORDS``
-    (for MSR, (n+1+w)/(n+1) times the windows it scans).
+    more candidates than the enumerator's ``MAX_SCAN_WORDS``.
     """
     msr = kind is FeedbackKind.MSR
     if msr:
@@ -247,15 +246,14 @@ def build_tree(
     words = params.universe_size
     if words > max_nodes * label_len:
         raise ValueError(f"scanning {words} words would exceed the {max_nodes}-node cap")
-    scanned = ParamSet(t, label_len, w)
-    if scanned.universe_size > MAX_SCAN_WORDS:
-        raise ValueError(f"tree would scan {scanned.universe_size} words, above the"
+    if words > MAX_SCAN_WORDS:
+        raise ValueError(f"tree would scan {words} words, above the"
                          f" {MAX_SCAN_WORDS}-word limit of the necklace scan")
     if msr:
         found = (win + (w - sum(win),) for win in words_iter(t, n, w))
         labels = sorted((lab for lab in found if _period_count(lab, label_len)[0]), key=_colex_key)
     else:
-        labels = [nk.symbols for nk in enumerate_bounded_necklaces(scanned)]
+        labels = [nk.symbols for nk in enumerate_bounded_necklaces(params)]
     if len(labels) > max_nodes:
         raise ValueError(f"tree has {len(labels)} nodes, above the cap {max_nodes}")
 

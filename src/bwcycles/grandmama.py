@@ -126,19 +126,42 @@ def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Ite
       the 1 is the longer one, under L a run inside b is;
     - the root's only child is 0^(n-1)1; its other candidates end in zero.
 
-    What is left (a probe with i = 0 or L = i, the scan child at lo when
-    lo = L or i = 2 lo + 1) is tested once with ``_period_count``, and the
+    What is left is a tie: a probe with L = i, or the scan child at lo when
+    lo = L or i = 2 lo + 1, whose leading run is as long as its longest other
+    run. Each frame also carries F, the start of the least follower a[F:] of
+    the runs of length L inside b (n when L is 0); the scan child's run after
+    its 1 has the follower a[i:], which takes F's place when it is the longer
+    run or the smaller follower of two as long. No descendant changes these
+    symbols, as the walk below a node changes only positions up to its change
+    index. A tied candidate's own follower, its a[L:L+n-F] with L its leading
+    run, decides it against a[F:]: below it the candidate is below every
+    rotation that starts at an equally long run, so a Lyndon word; above it
+    the candidate is above one of them, so no necklace. Only an equal follower
+    (or L = 0, which leaves F empty) costs a ``_period_count`` test, and the
     period is kept for entering the child, so every tested candidate is tested
     exactly once; the tests are tallied in ``stats``. The root's period is 1
     and costs no test.
 
-    Besides the scratch word, memory is one frame per node with children on
-    the current path (at most w + 1) and the kept periods of the children not
-    yet entered, at most n in all (each frame holds the positions between its
-    entered child and its own change index): O(n * t) no matter how long the
-    output is.
+    Besides the scratch word, memory is one frame of ints per node with
+    children on the current path (at most w + 1) and the kept periods of the
+    children not yet entered, at most n in all (each frame holds the positions
+    between its entered child and its own change index): O(n * t) no matter
+    how long the output is.
     """
     return _concat_walk(params, stats)
+
+
+def _zero_runs(a, start):
+    """(L, F) of the word ``a`` from ``start`` on: L is its longest zero run that a
+    nonzero symbol follows (0 for none), and a[F:] the least follower of such a
+    run of length L (F = len(a) when L is 0). Both walks' frames carry these."""
+    L, F, q = 0, len(a), start
+    for i in range(start, len(a)):
+        if a[i]:
+            if i - q > L or (i - q == L and L and a[i:] < a[F:]):
+                L, F = i - q, i
+            q = i + 1
+    return L, F
 
 
 def _concat_walk(params, stats, after=None):
@@ -156,14 +179,14 @@ def _concat_walk(params, stats, after=None):
                 return
             # one frame per node with children on the current path: [periods of the
             # children left, in reverse visiting order, next child's position, child
-            # weight, change index, L]. The root's frame holds its only child
-            # 0^(n-1)1 (w >= 1, so t >= 2), a Lyndon word, and the L it keeps.
-            stack = [[[n], n - 1, 1, n - 1, 0]]
+            # weight, change index, L, F]. The root's frame holds its only child
+            # 0^(n-1)1 (w >= 1, so t >= 2), a Lyndon word, and the L and F it keeps.
+            stack = [[[n], n - 1, 1, n - 1, 0, n]]
         else:
             # the path down to ``after``'s parent, whose bumps undo the decrements of
             # first nonzero symbols; each frame keeps the periods of the children from
             # the one on the path on, each candidate tested (n + w tests at most)
-            a, stack, ci, L = [0] * n, [], n - 1, 0
+            a, stack, ci = [0] * n, [], n - 1
             for c in reversed([i for i, s in enumerate(after) for _ in range(s)]):
                 if stack:
                     # enter the child on the path, as the walk does
@@ -180,8 +203,8 @@ def _concat_walk(params, stats, after=None):
                         if p:
                             ps.append(p)
                     a[q] -= 1
-                stack.append([ps, c, len(stack) + 1, ci, L])
-                ci, L = c, max(L, ci - 1 - c)
+                stack.append([ps, c, len(stack) + 1, ci, *_zero_runs(a, ci)])
+                ci = c
         fr = stack[-1]
         while True:
             # enter the child that bumps position i
@@ -194,23 +217,33 @@ def _concat_walk(params, stats, after=None):
             symbols += p
             if wt < w:
                 ps = []
-                # this node's L: a scan child adds the run 0^(ci-1-i) after its 1
-                ci, L = fr[3], fr[4]
-                if ci - 1 - i > L:
-                    L = ci - 1 - i
+                # this node's L and F: a scan child adds the run 0^(ci-1-i) after
+                # its 1, followed by a[ci:]
+                ci, L, F = fr[3], fr[4], fr[5]
+                r = ci - 1 - i
+                if r > L:
+                    L, F = r, ci
+                elif r == L and r and a[ci:] < a[F:]:
+                    F = ci
                 # the children's periods by decreasing position: probe, then scan
-                # down to lo, where only the child at lo can need a test
+                # down to lo, where only the child at lo can tie
                 if a[i] < tmax:
                     if i > L:
                         ps.append(n)
                     else:
+                        # a tie, i == L: the follower a[i:] against a[F:]
                         a[i] += 1
-                        p, it = _period_count(a, n)
+                        g = a[F:]
+                        c = a[i:i + len(g)]
+                        if c < g:
+                            ps.append(n)
+                        elif c == g:
+                            p, it = _period_count(a, n)
+                            tests += 1
+                            iters += it
+                            if p:
+                                ps.append(p)
                         a[i] -= 1
-                        tests += 1
-                        iters += it
-                        if p:
-                            ps.append(p)
                 lo = i // 2
                 if L > lo:
                     lo = L
@@ -221,18 +254,34 @@ def _concat_walk(params, stats, after=None):
                     if L < lo and i % 2 == 0:
                         ps.append(n)
                     else:
-                        a[lo] = 1
-                        p, it = _period_count(a, n)
-                        a[lo] = 0
-                        tests += 1
-                        iters += it
-                        if p:
-                            ps.append(p)
+                        # a tie with the runs inside b (lo == L), with the run after
+                        # the 1 (i == 2 lo + 1, lo >= 1), or both: the least follower
+                        if L < lo:
+                            g = a[i:]
                         else:
+                            g = a[F:]
+                            if lo and i == lo + lo + 1:
+                                h = a[i:]
+                                if h < g:
+                                    g = h
+                        a[lo] = 1
+                        c = a[lo:lo + len(g)]
+                        if c < g:
+                            ps.append(n)
+                        elif c > g:
                             j = lo
+                        else:
+                            p, it = _period_count(a, n)
+                            tests += 1
+                            iters += it
+                            if p:
+                                ps.append(p)
+                            else:
+                                j = lo
+                        a[lo] = 0
                 if ps:
                     # the children bump positions j+1 .. j+len(ps)
-                    fr = [ps, j + 1, wt + 1, i, L]
+                    fr = [ps, j + 1, wt + 1, i, L, F]
                     stack.append(fr)
                     continue
             a[i] -= 1

@@ -27,7 +27,8 @@ from itertools import chain, zip_longest
 from typing import Iterator, Sequence
 
 from bwcycles.grandmama import (GenStats, UCycle, _exhaustive_successor, _one_successor,
-                                _successor_chunks, _successor_start, _validate_window)
+                                _successor_chunks, _successor_start, _validate_window,
+                                _zero_runs)
 from bwcycles.words import ParamSet, Word, _period_count
 
 __all__ = [
@@ -115,13 +116,18 @@ def _msr_tree_walk(params, stats, after=None):
     From the root 0^n w, a node whose first nonzero symbol is at f has at most
     two children: child k (0, then 1) moves one unit of weight from j+1 to
     j = f-1+k, which is the order that makes the preorder reverse colex. The
-    walk keeps one scratch word and a stack of [f, L, k] frames, L being the
-    node's longest zero run after its first nonzero symbol. A child that would
+    walk keeps one scratch word and a stack of [f, L, F, k] frames, L being the
+    node's longest zero run after its first nonzero symbol and a[F:] the least
+    follower of such a run of length L (F = N when L is 0). A child that would
     end in zero is refused. Otherwise its leading run j decides it against its
-    own L: j > L makes it a Lyndon word, j < L no necklace, and only a tie
-    costs one ``_period_count`` (tallied in ``stats``). Each edge moves a unit
-    of weight one place left, so the path holds at most n*w frames: O(n * t).
-    Given ``after``, a node of the tree, the walk resumes just after it.
+    own L: j > L makes it a Lyndon word, j < L no necklace. A tie, j = L, is
+    decided by its follower a[L:L+N-F] against a[F:], which no descendant
+    changes (the walk below a node moves weight only at positions up to f+1):
+    below, the child is a Lyndon word; above, no necklace; only an equal one
+    (or L = 0) costs one ``_period_count`` (tallied in ``stats``). Each edge
+    moves a unit of weight one place left, so the path holds at most n*w
+    frames of ints: O(n * t). Given ``after``, a node of the tree, the walk
+    resumes just after it.
     """
     N, w = params.n + 1, params.w_eff
     tests = iters = symbols = 0
@@ -132,13 +138,13 @@ def _msr_tree_walk(params, stats, after=None):
             p = N if w else 1
             yield a[:p]
             symbols = p
-            stack = [[N - 1, 0, 0]]
+            stack = [[N - 1, 0, N, 0]]
         else:
             # frames up the path by msr_parent's move, k one past the child on the path
             a, b, stack, k = list(after), list(after), [], 0
             f = next((i for i, s in enumerate(b) if s), N - 1)
             while True:
-                stack.append([f, max(map(len, bytes(map(bool, b[f:])).split(b"\1"))), k])
+                stack.append([f, *_zero_runs(b, f), k])
                 if f == N - 1:
                     break
                 b[f] -= 1
@@ -148,7 +154,7 @@ def _msr_tree_walk(params, stats, after=None):
             stack.reverse()
         fr = stack[-1]
         while True:
-            f, L, k = fr
+            f, L, F, k = fr
             if k == 2:
                 # both children done: undo this node's move and climb out
                 stack.pop()
@@ -158,7 +164,7 @@ def _msr_tree_walk(params, stats, after=None):
                 a[f + 1] += 1
                 fr = stack[-1]
                 continue
-            fr[2] = k + 1
+            fr[3] = k + 1
             j = f - 1 + k
             d = j + 1
             s = a[d] if 0 <= j and d < N else 0
@@ -171,24 +177,34 @@ def _msr_tree_walk(params, stats, after=None):
                 q = d + 1
                 while not a[q]:
                     q += 1
+                # the run a[d:q], followed by a[q:]
                 if q - d > L:
-                    L = q - d
+                    L, F = q - d, q
+                elif q - d == L and a[q:] < a[F:]:
+                    F = q
             if j < L:
                 continue
             a[j] += 1
             a[d] = s - 1
             p = N
             if j == L:
-                p, it = _period_count(a, N)
-                tests += 1
-                iters += it
+                if L:
+                    g = a[F:]
+                    c = a[j:j + len(g)]
+                if not L or c == g:
+                    p, it = _period_count(a, N)
+                    tests += 1
+                    iters += it
+                elif c > g:
+                    p = 0
                 if not p:
                     a[j] -= 1
                     a[d] = s
                     continue
             yield a[:p]
             symbols += p
-            fr = [j, L, 0]
+            # a node with f = 0 has no child 0
+            fr = [j, L, F, 0 if j else 1]
             stack.append(fr)
     finally:
         if stats is not None:

@@ -142,14 +142,20 @@ def test_build_tree_refuses_scans_past_the_enumerator_limit(monkeypatch):
         raise AssertionError("scanned past the limit")
 
     monkeypatch.setattr(cyclejoin, "enumerate_bounded_necklaces", must_not_run)
-    # both pass the node cap: 23,242,039 <= 40 * 10^6 and C(27,11) <= 17 * 10^6 words,
-    # but the scans hold every word of weight <= w, here 23,242,039 and C(28,11)
+    monkeypatch.setattr(cyclejoin, "words_iter", lambda t, n, w: must_not_run(None))
+    # both pass the node cap: 23,242,039 <= 40 * 10^6 and 26,978,328 <= 36 * 10^6
+    # words, but the scans read every word of weight <= w (PCR) or every window of
+    # weight <= w (MSR): 23,242,039 and C(42,7)
     for kind, params, scanned in [(FeedbackKind.PCR, ParamSet(2, 40, 7), 23242039),
-                                  (FeedbackKind.MSR, ParamSet(12, 16, 11), math.comb(28, 11))]:
+                                  (FeedbackKind.MSR, ParamSet(8, 35, 7), math.comb(42, 7))]:
         with pytest.raises(ValueError) as refused:
             build_tree(kind, params)
         assert str(refused.value) == (f"tree would scan {scanned} words, above the"
                                       f" {MAX_SCAN_WORDS}-word limit of the necklace scan")
+    # the MSR scan reads C(27,11) = 13,037,895 windows, not the C(28,11) words of
+    # length n+1, so (12,16,11) passes the guard and reaches the (stubbed) scan
+    with pytest.raises(AssertionError, match="scanned past the limit"):
+        build_tree(FeedbackKind.MSR, ParamSet(12, 16, 11))
 
 
 def test_build_tree_cap_counts_only_the_weight_bounded_words():

@@ -144,7 +144,15 @@ def test_walks_match_brute_force_on_small_alphabets_through_every_branch(monkeyp
         tested.append((tuple(a[:n]), p))
         return p, it
 
+    msr_tested = set()
+
+    def msr_recording(a, n):
+        msr_tested.add(tuple(a[:n]))
+        return real(a, n)
+
     monkeypatch.setattr(grandmama, "_period_count", recording)
+    monkeypatch.setattr(msr, "_period_count", msr_recording)
+    outcomes, msr_outcomes = set(), set()
     for t, n in SMALL_ALPHABET_GRID:
         colex = sorted(_brute_necklaces(t, n, n * (t - 1)), key=_colex)
         for w in range(n * (t - 1) + 1):
@@ -155,6 +163,12 @@ def test_walks_match_brute_force_on_small_alphabets_through_every_branch(monkeyp
         for w in range(t):
             expected = [list(word[:p]) for word, p in reverse if sum(word) == w]
             assert list(iter_reverse_colex_prefixes(ParamSet(t, n, w))) == expected, (t, n, w)
+        outcomes |= _tie_outcomes(colex, t, _concat_candidates, {word for word, _ in tested})
+        msr_outcomes |= _tie_outcomes(reverse, t, _msr_candidates, msr_tested)
+    assert outcomes == {"below", "above", "equal"}
+    # the reverse walk's weights stay below t <= 3 here, which leaves no room for a
+    # tie that is not periodic; test_msr_walk_ties_take_every_follower_outcome has them
+    assert msr_outcomes == {"equal"}
 
     def leading_zeros(word):
         return next((k for k, s in enumerate(word) if s), len(word))
@@ -167,6 +181,85 @@ def test_walks_match_brute_force_on_small_alphabets_through_every_branch(monkeyp
     for periodic in (True, False):
         assert any(0 < (j := leading_zeros(word)) and word[j:2 * j + 2] == (1,) + (0,) * j + (1,)
                    and (0 < p < len(word)) == periodic for word, p in tested), periodic
+
+
+def _follower_outcome(word):
+    """How the walks decide a word that ends nonzero and whose leading zero run, of
+    length l >= 1, is as long as its longest other zero run: its follower
+    word[l:], cut to the length of the least follower of those other runs, is
+    "below", "above" or "equal" to it. None for any other word."""
+    lead = next((k for k, s in enumerate(word) if s), len(word))
+    if not 0 < lead < len(word) or not word[-1]:
+        return None
+    followers, q = {}, lead
+    for i in range(lead, len(word)):
+        if word[i]:
+            followers.setdefault(i - q, []).append(word[i:])
+            q = i + 1
+    if max(followers) != lead:
+        return None
+    least = min(followers[lead])
+    own = word[lead:lead + len(least)]
+    return "below" if own < least else "above" if own > least else "equal"
+
+
+def _concat_candidates(node, t):
+    """The concat walk's candidate children of a node: the probe and the scan."""
+    if not any(node):
+        return [node[:-1] + (1,)]
+    i = next(k for k, s in enumerate(node) if s)
+    probe = [node[:i] + (node[i] + 1,) + node[i + 1:]] if node[i] < t - 1 else []
+    return probe + [(0,) * j + (1,) + (0,) * (i - 1 - j) + node[i:] for j in range(i)]
+
+
+def _msr_candidates(node, t):
+    """The MSR tree walk's candidate children of a node: one unit of weight moved
+    from j+1 to j, for j = f-1 and f."""
+    f = next((k for k, s in enumerate(node) if s), len(node) - 1)
+    out = []
+    for j in (f - 1, f):
+        if 0 <= j and j + 1 < len(node) and node[j + 1]:
+            out.append(node[:j] + (node[j] + 1, node[j + 1] - 1) + node[j + 2:])
+    return out
+
+
+def _tie_outcomes(nodes, t, candidates, tested):
+    """The follower outcomes of the tied candidates of these (node, period) pairs,
+    after checking each: below its follower a Lyndon word, above it no necklace,
+    both untested; equal to it tested."""
+    periods, outcomes = dict(nodes), set()
+    for node, _ in nodes:
+        for child in candidates(node, t):
+            outcome = _follower_outcome(child)
+            if outcome is None:
+                continue
+            outcomes.add(outcome)
+            assert (child in tested) == (outcome == "equal"), child
+            if outcome == "below":
+                assert periods.get(child) == len(child), child
+            elif outcome == "above":
+                assert child not in periods, child
+    return outcomes
+
+
+def test_msr_walk_ties_take_every_follower_outcome(monkeypatch):
+    tested = set()
+    real = msr._period_count
+
+    def recording(a, n):
+        tested.add(tuple(a[:n]))
+        return real(a, n)
+
+    monkeypatch.setattr(msr, "_period_count", recording)
+    outcomes = set()
+    for t in range(2, 7):
+        for n in range(1, 6):
+            reverse = sorted(_brute_necklaces(t, n + 1, t - 1), key=_colex, reverse=True)
+            for w in range(t):
+                expected = [list(word[:p]) for word, p in reverse if sum(word) == w]
+                assert list(iter_reverse_colex_prefixes(ParamSet(t, n, w))) == expected, (t, n, w)
+            outcomes |= _tie_outcomes(reverse, t, _msr_candidates, tested)
+    assert outcomes == {"below", "above", "equal"}
 
 
 def test_walks_test_each_candidate_once(monkeypatch):
@@ -220,7 +313,7 @@ def test_concat_weight_clamping_reported():
 def test_concat_stats_pinned():
     # (necklace_tests, comparisons, symbols) of the colex walk; perfbench's
     # tests-per-symbol drift check reads these counts
-    for (t, n, w), expected in [((4, 6, 9), (238, 1092, 2338)), ((5, 3, 4), (4, 7, 35))]:
+    for (t, n, w), expected in [((4, 6, 9), (92, 412, 2338)), ((5, 3, 4), (4, 7, 35))]:
         stats = GenStats()
         chunks = list(iter_concat_prefixes(ParamSet(t, n, w), stats))
         assert sum(map(len, chunks)) == expected[2], (t, n, w)
@@ -232,7 +325,7 @@ def test_reverse_walk_stats_pinned():
     stats = GenStats()
     chunks = list(iter_reverse_colex_prefixes(ParamSet(7, 5, 6), stats))
     assert sum(map(len, chunks)) == 462
-    assert (stats.necklace_tests, stats.comparisons, stats.symbols) == (37, 176, 462)
+    assert (stats.necklace_tests, stats.comparisons, stats.symbols) == (10, 50, 462)
 
 
 def test_successor_h1_examples():
@@ -448,6 +541,61 @@ def test_comparison_budget_spot():
         assert 2 * stats.comparisons <= 16 * stats.symbols, (params, stats)
         assert stats.necklace_tests <= stats.symbols, (params, stats)
 
+
+def test_follower_rule_leaves_few_tests_per_symbol():
+    # ties are decided by their followers, so the equal ones are all that is tested
+    for walk, cell, budget in [(iter_concat_prefixes, (4, 10, 15), 0.015),
+                               (iter_reverse_colex_prefixes, (10, 11, 9), 0.008)]:
+        stats = GenStats()
+        for _ in walk(ParamSet(*cell), stats):
+            pass
+        assert stats.symbols == ParamSet(*cell).universe_size, cell
+        assert stats.necklace_tests <= budget * stats.symbols, (cell, stats)
+
+
+def _suspended(walk, names):
+    """The named locals of a walk suspended at a yield, as text: its whole state
+    (None for those the root's yield comes before)."""
+    return repr([walk.gi_frame.f_locals.get(name) for name in names])
+
+
+@pytest.mark.slow
+def test_resumed_walks_stream_the_fresh_walks_rest():
+    # every node of each walk, on every cell with t <= 6, n <= 7 and at most 3 * 10^4
+    # words. The concatenation walk resumed at a node enters it again, the MSR tree
+    # walk yields the chunk after it, and each then holds the fresh walk's scratch
+    # word, stack and entered child, so it streams exactly the fresh walk's rest;
+    # on cells of at most 3000 words each resumed walk is drained to the end too
+    cells = 0
+    for t in range(1, 7):
+        for n in range(1, 8):
+            for w in range(n * (t - 1) + 1):
+                p = ParamSet(t, n, w)
+                if p.universe_size > 3 * 10**4:
+                    continue
+                # (walk, node length, index of the first chunk it yields after a
+                # node, the locals its next step reads)
+                walks = [(grandmama._concat_walk, n, 0, ("a", "stack", "i", "wt"))]
+                if w < t:
+                    walks.append((msr._msr_tree_walk, n + 1, 1, ("a", "stack", "j", "L", "F")))
+                for walk, length, step, names in walks:
+                    cells += 1
+                    fresh, states = [], []
+                    for chunk in (gen := walk(p, None)):
+                        fresh.append(chunk)
+                        states.append(_suspended(gen, names))
+                    for k, chunk in enumerate(fresh):
+                        node = chunk * (length // len(chunk))
+                        if not any(node):
+                            continue  # 0^n, where the concatenation walk cannot resume
+                        resumed = walk(p, None, node)
+                        if k + step < len(fresh):
+                            assert next(resumed) == fresh[k + step], (p, node)
+                            assert _suspended(resumed, names) == states[k + step], (p, node)
+                            if p.universe_size > 3000:
+                                continue
+                        assert list(resumed) == fresh[k + step + 1:], (p, node)
+    assert cells == 555
 
 
 def test_ucycle_windows_wrap():
