@@ -153,7 +153,8 @@ def cmd_generate(args) -> int:
     seed = _resolve_seed(args, cell)
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit cannot be negative")
-    top = cell.params.t - 1 + cell.shift
+    # no symbol passes t - 1, and none passes w, as a window holds at most w weight
+    top = min(cell.params.t - 1, cell.params.w_eff) + cell.shift
     if args.format == "compact" and top > 9:
         raise ValueError(f"compact format needs all symbols < 10, but they reach {top}")
 
@@ -175,7 +176,7 @@ def cmd_generate(args) -> int:
         "w": cell.params.w_eff,
         "length": emit_len,
     }
-    names = [str(s + cell.shift) for s in range(cell.params.t)]
+    names = [str(s) for s in range(cell.shift, top + 1)]
     written = _emit_stream(chunks, args.format, names, meta, sys.stdout)
     if stats is not None:
         # count what actually went out: the concatenation walks flush their

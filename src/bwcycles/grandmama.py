@@ -151,70 +151,43 @@ def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Ite
     return _concat_walk(params, stats)
 
 
-def _zero_runs(a, start):
-    """(L, F) of the word ``a`` from ``start`` on: L is its longest zero run that a
-    nonzero symbol follows (0 for none), and a[F:] the least follower of such a
-    run of length L (F = len(a) when L is 0). Both walks' frames carry these."""
-    L, F, q = 0, len(a), start
-    for i in range(start, len(a)):
-        if a[i]:
-            if i - q > L or (i - q == L and L and a[i:] < a[F:]):
-                L, F = i - q, i
-            q = i + 1
-    return L, F
-
-
 def _concat_walk(params, stats, after=None):
-    """The walk of ``iter_concat_prefixes``; given ``after``, a necklace other than
-    0^n, it starts by entering that node: its chunk comes first, then the rest."""
+    """The walk of ``iter_concat_prefixes``. Given ``after``, a necklace, it takes the
+    path's child at each node down to it and yields nothing before it enters
+    ``after``: that chunk comes first, then the rest. At the root, it is the walk."""
     t, n, w = params.t, params.n, params.w_eff
     tmax = t - 1
     tests = iters = symbols = 0
+    # the positions the path bumps, popped from the last: each bump undoes the
+    # parent's decrement of a first nonzero symbol, so they fall from n-1
+    path = [i for i, s in enumerate(after or ()) for _ in range(s)]
     try:
-        if after is None:
-            a = [0] * n
+        a = [0] * n
+        if not path:
             yield [0]
             symbols = 1
-            if w == 0:
-                return
-            # one frame per node with children on the current path: [periods of the
-            # children left, in reverse visiting order, next child's position, child
-            # weight, change index, L, F]. The root's frame holds its only child
-            # 0^(n-1)1 (w >= 1, so t >= 2), a Lyndon word, and the L and F it keeps.
-            stack = [[[n], n - 1, 1, n - 1, 0, n]]
-        else:
-            # the path down to ``after``'s parent, whose bumps undo the decrements of
-            # first nonzero symbols; each frame keeps the periods of the children from
-            # the one on the path on, each candidate tested (n + w tests at most)
-            a, stack, ci = [0] * n, [], n - 1
-            for c in reversed([i for i, s in enumerate(after) for _ in range(s)]):
-                if stack:
-                    # enter the child on the path, as the walk does
-                    stack[-1][0].pop()
-                    stack[-1][1] += 1
-                    a[ci] += 1
-                ps = []
-                for q in range(ci, c - 1, -1):
-                    a[q] += 1
-                    if a[q] < t:
-                        p, it = _period_count(a, n)
-                        tests += 1
-                        iters += it
-                        if p:
-                            ps.append(p)
-                    a[q] -= 1
-                stack.append([ps, c, len(stack) + 1, ci, *_zero_runs(a, ci)])
-                ci = c
-        fr = stack[-1]
+        if w == 0:
+            return
+        # one frame per node with children on the current path: [periods of the
+        # children left, in reverse visiting order, next child's position, child
+        # weight, change index, L, F]. The root's frame holds its only child
+        # 0^(n-1)1 (w >= 1, so t >= 2), a Lyndon word, and the L and F it keeps.
+        fr = [[n], n - 1, 1, n - 1, 0, n]
+        stack = [fr]
         while True:
             # enter the child that bumps position i
             i = fr[1]
+            if path:
+                # the path's child: drop the periods of the siblings before it
+                i = path.pop()
+                del fr[0][len(fr[0]) + fr[1] - i:]
             fr[1] = i + 1
             a[i] += 1
             wt = fr[2]
             p = fr[0].pop()
-            yield a[:p]
-            symbols += p
+            if not path:
+                yield a[:p]
+                symbols += p
             if wt < w:
                 ps = []
                 # this node's L and F: a scan child adds the run 0^(ci-1-i) after
@@ -413,6 +386,8 @@ def _successor_start(params, start, steps):
             syms, steps = syms[:size], 0
         else:
             steps = size - n
+    elif steps < 0:
+        raise ValueError(f"steps cannot be negative, got {steps}")
     return syms, steps
 
 
@@ -512,7 +487,7 @@ def _resumed_chunks(params, syms, steps, stats, msr, walk):
     A window W ends a necklace's chunk exactly when W is that necklace (h1, W not
     0^n) or [z] + W is (h2, z = w - weight(W)), as the tests check on a grid. So
     the rule steps only until that holds, at most n+1 times, ``walk(params, stats,
-    after)`` resumes there and fresh walks (``after`` None) go round the cycle.
+    after)`` descends there and fresh walks (``after`` None) go round the cycle.
     """
     n, w = params.n, params.w_eff
     counted, head, left = GenStats(), list(syms), steps
@@ -525,8 +500,7 @@ def _resumed_chunks(params, syms, steps, stats, msr, walk):
             counted.add(tests=1, comparisons=it)
             if p and (msr or any(win)):
                 walks = walk(params, counted, node)
-                if not msr:
-                    next(walks)  # the concatenation walk enters ``node`` again
+                next(walks)  # ``node``'s chunk, which the head already ends
                 break
             head.append(_one_successor(params, win, msr, counted))
             left -= 1

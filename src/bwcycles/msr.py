@@ -27,8 +27,7 @@ from itertools import chain, zip_longest
 from typing import Iterator, Sequence
 
 from bwcycles.grandmama import (GenStats, UCycle, _exhaustive_successor, _one_successor,
-                                _successor_chunks, _successor_start, _validate_window,
-                                _zero_runs)
+                                _successor_chunks, _successor_start, _validate_window)
 from bwcycles.words import ParamSet, Word, _period_count
 
 __all__ = [
@@ -126,32 +125,28 @@ def _msr_tree_walk(params, stats, after=None):
     below, the child is a Lyndon word; above, no necklace; only an equal one
     (or L = 0) costs one ``_period_count`` (tallied in ``stats``). Each edge
     moves a unit of weight one place left, so the path holds at most n*w
-    frames of ints: O(n * t). Given ``after``, a node of the tree, the walk
-    resumes just after it.
+    frames of ints: O(n * t). Given ``after``, a node of the tree, the walk takes
+    the path's child at each node down to it and yields nothing before it enters
+    ``after``: that chunk comes first, then the rest. At the root, it is the walk.
     """
     N, w = params.n + 1, params.w_eff
     tests = iters = symbols = 0
+    # the child indices k from the root down to ``after``, popped from the last;
+    # msr_parent's moves (a unit from the first nonzero symbol right) end at 0^n w
+    a = [0] * (N - 1) + [w] if after is None else list(after)
+    path = []
+    for f in range(N - 1):
+        while a[f]:
+            a[f] -= 1
+            a[f + 1] += 1
+            path.append(1 if a[f] else 0)
     try:
-        if after is None:
-            a = [0] * (N - 1) + [w]
+        if not path:
             # the root: 0^n w is a Lyndon word, or 0^(n+1) of period 1 with no children
             p = N if w else 1
             yield a[:p]
             symbols = p
-            stack = [[N - 1, 0, N, 0]]
-        else:
-            # frames up the path by msr_parent's move, k one past the child on the path
-            a, b, stack, k = list(after), list(after), [], 0
-            f = next((i for i, s in enumerate(b) if s), N - 1)
-            while True:
-                stack.append([f, *_zero_runs(b, f), k])
-                if f == N - 1:
-                    break
-                b[f] -= 1
-                b[f + 1] += 1
-                k = 2 if b[f] else 1
-                f += not b[f]
-            stack.reverse()
+        stack = [[N - 1, 0, N, path.pop() if path else 0]]
         fr = stack[-1]
         while True:
             f, L, F, k = fr
@@ -201,10 +196,14 @@ def _msr_tree_walk(params, stats, after=None):
                     a[j] -= 1
                     a[d] = s
                     continue
-            yield a[:p]
-            symbols += p
-            # a node with f = 0 has no child 0
-            fr = [j, L, F, 0 if j else 1]
+            if path:
+                k = path.pop()
+            else:
+                yield a[:p]
+                symbols += p
+                # a node with f = 0 has no child 0
+                k = 0 if j else 1
+            fr = [j, L, F, k]
             stack.append(fr)
     finally:
         if stats is not None:

@@ -63,6 +63,17 @@ def test_generate_formats_agree(capsys):
     assert payload["scheme"] is None
 
 
+def test_generate_compact_takes_wide_alphabets_under_a_low_weight_ceiling(capsys):
+    # no symbol passes min(t - 1, w), so --t 12 --w 4 stays one digit per symbol
+    for flags in [(), ("--engine", "msr"), ("--seed-window", "0,4,0"),
+                  ("--engine", "msr", "--seed-window", "1,0,3")]:
+        argv = ("generate", "--t", "12", "--n", "3", "--w", "4", *flags)
+        code, compact, _ = run(capsys, *argv, "--format", "compact")
+        _, delim, _ = run(capsys, *argv)
+        assert code == 0 and compact == delim.replace(" ", ""), flags
+        assert "4" in compact, flags
+
+
 def test_generate_json_scheme_block(capsys):
     _, out, _ = run(capsys, "generate", "--multisets-diff", "4", "4", "--format", "json")
     payload = json.loads(out)
@@ -111,7 +122,7 @@ def test_generate_usage_errors(capsys):
     cases = [
         ("generate", "--t", "3", "--n", "3"),  # missing --w
         ("generate", "--t", "3", "--n", "3", "--w", "2", "--subsets", "5", "3"),
-        ("generate", "--t", "12", "--n", "2", "--w", "3", "--format", "compact"),
+        ("generate", "--t", "12", "--n", "2", "--w", "10", "--format", "compact"),
         ("generate", "--engine", "reverse-colex", "--t", "3", "--n", "3", "--w", "2",
          "--seed-window", "001"),
         ("generate", "--t", "3", "--n", "3", "--w", "2", "--seed-window", "01"),

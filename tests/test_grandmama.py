@@ -15,7 +15,8 @@ from bwcycles.grandmama import (
     iter_successor_chunks,
     successor_h1,
 )
-from bwcycles.msr import iter_msr_chunks, iter_reverse_colex_prefixes, successor_h2
+from bwcycles.msr import (generate_msr, iter_msr_chunks, iter_reverse_colex_prefixes,
+                          successor_h2)
 from bwcycles.oracle import enumerate_universe, verify_universal_cycle
 from bwcycles.words import ParamSet, Word, enumerate_bounded_necklaces, necklace_info, words_iter
 
@@ -328,6 +329,17 @@ def test_reverse_walk_stats_pinned():
     assert (stats.necklace_tests, stats.comparisons, stats.symbols) == (10, 50, 462)
 
 
+def test_seeded_run_stats_pinned():
+    # (necklace_tests, comparisons, symbols) of a seeded full period from mid-cycle:
+    # the rule's steps to a chunk end, the walk's descent to that necklace, its rest
+    for engine, cell, seed, expected in [("grandmama", (4, 6, 9), (0, 1, 2, 2, 1, 2), (94, 422, 2338)),
+                                         ("msr", (7, 5, 6), (0, 1, 2, 0, 0), (16, 66, 462))]:
+        stats = GenStats()
+        _, chunks = engine_chunks(ParamSet(*cell), engine, seed, None, stats)
+        assert sum(map(len, chunks)) == expected[2], cell
+        assert (stats.necklace_tests, stats.comparisons, stats.symbols) == expected, cell
+
+
 def test_successor_h1_examples():
     p = ParamSet(5, 3, 4)
     assert successor_h1(p, (0, 0, 0)) == 1
@@ -410,6 +422,19 @@ def test_successor_step_override():
     params = ParamSet(2, 2, 2)
     got = generate_by_successor(params, steps=6)
     assert str(got) == "00110011"  # wraps past one period
+
+
+def test_negative_steps_are_refused_by_every_successor_entry_point():
+    # h1, h2 and the seeded runs count their steps down, so each refuses -1 up front
+    p, seed = ParamSet(7, 5, 6), (0, 1, 0, 2, 0)
+    refused = pytest.raises(ValueError, match="steps cannot be negative, got -1")
+    for start in (None, seed):
+        for rule in (iter_successor_chunks, generate_by_successor, iter_msr_chunks, generate_msr):
+            with refused:
+                rule(p, start, -1)
+    for engine in ("grandmama", "msr"):
+        with refused:
+            engine_chunks(p, engine, seed, -1)
 
 
 def test_successor_degenerate_short_cycle():
@@ -533,7 +558,7 @@ def test_comparison_budget_spot():
         assert 2 * stats.comparisons <= 16 * len(u), (t, n, w, stats)
         assert 0 < stats.necklace_tests <= len(u), (t, n, w, stats)
         assert stats.symbols == len(u)
-    # a seeded full period: the rule's steps to a chunk end, the rebuilt path, the walk
+    # a seeded full period: the rule's steps to a chunk end, the descent, the walk
     for params, seed in SEEDED_BUDGET_CELLS:
         stats = GenStats()
         _, chunks = engine_chunks(params, "grandmama", seed, None, stats)
@@ -559,43 +584,47 @@ def _suspended(walk, names):
     return repr([walk.gi_frame.f_locals.get(name) for name in names])
 
 
+# (walk, node length less n, the locals its next step reads)
+CONCAT_WALK = (grandmama._concat_walk, 0, ("a", "stack", "path", "i", "wt"))
+MSR_TREE_WALK = (msr._msr_tree_walk, 1, ("a", "stack", "path", "j", "L", "F"))
+
+
 @pytest.mark.slow
 def test_resumed_walks_stream_the_fresh_walks_rest():
-    # every node of each walk, on every cell with t <= 6, n <= 7 and at most 3 * 10^4
-    # words. The concatenation walk resumed at a node enters it again, the MSR tree
-    # walk yields the chunk after it, and each then holds the fresh walk's scratch
-    # word, stack and entered child, so it streams exactly the fresh walk's rest;
-    # on cells of at most 3000 words each resumed walk is drained to the end too
-    cells = 0
+    # every node of each walk on every cell with t <= 6, n <= 7 and at most 3 * 10^4
+    # words, and every so many nodes (and each deeper than all before) of MSR cells
+    # whose paths run over a hundred frames deep. A walk resumed at a node descends
+    # to it, yields its chunk first and then holds the fresh walk's scratch word,
+    # stack, path and entered child, so it streams exactly the fresh walk's rest; on
+    # cells of at most 3000 words it is drained to the end too
+    runs = []
     for t in range(1, 7):
         for n in range(1, 8):
             for w in range(n * (t - 1) + 1):
                 p = ParamSet(t, n, w)
-                if p.universe_size > 3 * 10**4:
-                    continue
-                # (walk, node length, index of the first chunk it yields after a
-                # node, the locals its next step reads)
-                walks = [(grandmama._concat_walk, n, 0, ("a", "stack", "i", "wt"))]
-                if w < t:
-                    walks.append((msr._msr_tree_walk, n + 1, 1, ("a", "stack", "j", "L", "F")))
-                for walk, length, step, names in walks:
-                    cells += 1
-                    fresh, states = [], []
-                    for chunk in (gen := walk(p, None)):
-                        fresh.append(chunk)
-                        states.append(_suspended(gen, names))
-                    for k, chunk in enumerate(fresh):
-                        node = chunk * (length // len(chunk))
-                        if not any(node):
-                            continue  # 0^n, where the concatenation walk cannot resume
-                        resumed = walk(p, None, node)
-                        if k + step < len(fresh):
-                            assert next(resumed) == fresh[k + step], (p, node)
-                            assert _suspended(resumed, names) == states[k + step], (p, node)
-                            if p.universe_size > 3000:
-                                continue
-                        assert list(resumed) == fresh[k + step + 1:], (p, node)
-    assert cells == 555
+                if p.universe_size <= 3 * 10**4:
+                    runs += [(p, walk, 1) for walk in [CONCAT_WALK] + [MSR_TREE_WALK] * (w < t)]
+    assert len(runs) == 555
+    runs += [(ParamSet(300, 2, 299), MSR_TREE_WALK, 997), (ParamSet(1000, 1, 999), MSR_TREE_WALK, 31),
+             (ParamSet(60, 3, 59), MSR_TREE_WALK, 101)]
+    depths = []  # the most frames on each run's stack
+    for p, (walk, extra, names), every in runs:
+        fresh, states, depth = [], {}, 0
+        for k, chunk in enumerate(gen := walk(p, None)):
+            fresh.append(chunk)
+            stack = gen.gi_frame.f_locals.get("stack", ())
+            if k % every == 0 or len(stack) > depth:
+                states[k] = _suspended(gen, names)
+                depth = max(depth, len(stack))
+        depths.append(depth)
+        for k, state in states.items():
+            node = fresh[k] * ((p.n + extra) // len(fresh[k]))
+            resumed = walk(p, None, node)
+            assert next(resumed) == fresh[k], (p, node)
+            assert _suspended(resumed, names) == state, (p, node)
+            if p.universe_size <= 3000:
+                assert list(resumed) == fresh[k + 1:], (p, node)
+    assert max(depths[:555]) == 25 and depths[555:] == [298, 499, 115]
 
 
 def test_ucycle_windows_wrap():

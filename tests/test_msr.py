@@ -88,7 +88,7 @@ def test_reverse_colex_comparison_budget():
         generate_reverse_colex(ParamSet(t, n, w), stats=stats)
         assert 2 * stats.comparisons <= 16 * stats.symbols, (t, n, w, stats)
         assert stats.necklace_tests <= stats.symbols, (t, n, w, stats)
-    # a seeded full period: the rule's steps to a chunk end, the rebuilt path, the walk
+    # a seeded full period: the rule's steps to a chunk end, the descent, the walk
     for params, seed in [(ParamSet(10, 11, 9), (0, 1, 0, 2, 0, 0, 3, 0, 0, 1, 0)),
                          (ParamSet(300, 2, 299), (150, 43)), (ParamSet(300, 2, 299), (0, 299))]:
         stats = GenStats()
