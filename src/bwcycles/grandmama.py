@@ -6,10 +6,10 @@ colexicographic order and emitting each one's aperiodic prefix. It decides most
 children by their zero runs and tests only the rest. The successor
 engine produces the identical cyclic sequence one symbol at a time from any
 starting window, paying O(n) per symbol and at most one necklace test. One
-streaming loop makes that decision for it and for the missing-symbol rule of
-``bwcycles.msr``; only the lead symbol and the tested word differ. A single
-rule call is a one-step run of the loop, and ``exhaustive=True`` swaps in a
-small brute-force twin that tests every candidate from the top.
+per-window function makes that decision for it and for the missing-symbol rule
+of ``bwcycles.msr``; only the lead symbol and the tested word differ. The rule
+calls and the streams call it once per symbol, and ``exhaustive=True`` swaps in
+a small brute-force twin that tests every candidate from the top.
 
 Both are instrumented: ``GenStats`` counts emitted symbols, necklace tests, and
 inner-loop iterations of the necklace test (each iteration is at most two
@@ -18,7 +18,6 @@ symbol comparisons), which is how the constant-amortized-work claim is checked.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import chain, cycle, islice
 from typing import Iterator, Sequence
@@ -34,9 +33,6 @@ __all__ = [
     "iter_successor_chunks",
     "generate_by_successor",
 ]
-
-# symbols per successor chunk: per-chunk costs vanish, memory stays small
-SUCCESSOR_CHUNK = 4096
 
 
 @dataclass
@@ -290,9 +286,6 @@ def _validate_window(params: ParamSet, window) -> tuple[int, ...]:
         raise ValueError(f"window {syms} has symbols outside 0..{params.t - 1}")
     if sum(syms) > params.w_eff:
         raise ValueError(f"window {syms} exceeds the weight ceiling {params.w_eff}")
-    if params.t > sys.maxunicode + 1:
-        # the successor loop holds its window as text, one code point per symbol
-        raise ValueError(f"successor rules need t <= {sys.maxunicode + 1}, got t={params.t}")
     return syms
 
 
@@ -312,43 +305,80 @@ def successor_h1(
     is below x, and the leading symbol unchanged otherwise (including x
     nonexistent).
 
-    The default path is the first symbol of a one-step run of the streaming
-    successor loop, which locates the only viable candidate arithmetically and
+    The default path locates the only viable candidate arithmetically and
     spends at most one necklace test. ``exhaustive=True`` is its brute-force
     twin, which tests candidates from the top; the tests assert they agree.
     """
     syms = _validate_window(params, window)
     if exhaustive:
         return _exhaustive_successor(params, syms, False, stats)
-    return _one_successor(params, syms, False, stats)
+    return _successor(params.t, params.n, params.w_eff, syms, False, stats)
 
 
-def _one_successor(params, syms, msr, stats):
-    """One step of the successor loop; ``stats`` gains its tests and comparisons."""
-    counted = GenStats()
-    chunks = _successor_chunks(params, syms, 1, counted, msr)
-    next(chunks)
-    (s,) = next(chunks)
-    if stats is not None:
-        stats.add(tests=counted.necklace_tests, comparisons=counted.comparisons)
-    return s
+def _window_head(n, w, win):
+    """(a1, z, r, tail) of a window: its first symbol, the missing weight w - weight,
+    and a2..an split at j, the position of their last nonzero symbol (1 for none),
+    into the tail a2..aj and the r = n-j zeros after it, which pad the tested word."""
+    j = n - 1
+    while j and not win[j]:
+        j -= 1
+    return win[0], w - sum(win), n - 1 - j, win[1 : j + 1]
+
+
+def _successor(t, n, w, win, msr, stats):
+    """The successor decision for h1 (``msr`` false) and h2 (``msr`` true) on a tuple window.
+
+    The largest candidate x that a necklace 0^r x a2..aj (h1) or 0^r x y a2..aj
+    (h2, y = z - x + a1) can have is found arithmetically, and one necklace
+    test, tallied in ``stats``, decides between it and the symbol below.
+    """
+    a1, z, r, tail = _window_head(n, w, win)
+    u = z + a1
+    # h1 keeps the weight within w; for h2 the companion y stays >= 0 (and below
+    # t, as z + a1 <= w < t)
+    x = u if u < t - 1 else t - 1
+    if x:
+        # a symbol that follows a run of r zeros inside the tail caps x, and a
+        # longer run leaves no candidate; with r = 0 every tail symbol caps x
+        run = 0
+        for c in tail:
+            if c:
+                if run == r and c < x:
+                    x = c
+                run = 0
+            elif run == r:
+                x = 0
+                break
+            else:
+                run += 1
+        if msr and not r and x + x > u:
+            # y follows x, and the rotation starting at y caps x: x <= y, i.e.
+            # 2x <= a1 + z. Starting above that can need several decrements (seen
+            # at t=7, n=2, w=6, window 13).
+            x = u // 2
+        if x:
+            word = (0,) * r + ((x, u - x) if msr else (x,)) + tail
+            p, it = _period_count(word, len(word))
+            if stats is not None:
+                stats.add(tests=1, comparisons=it)
+            if not p:
+                # the start point can fail, but then the symbol below holds
+                x -= 1
+    lead = z if msr else a1
+    return lead if lead > x else 0 if lead == x else lead + 1
 
 
 def _exhaustive_successor(params, syms, msr, stats):
-    """Brute-force twin of the successor loop: test every candidate x from the top.
+    """Brute-force twin of ``_successor``: test every candidate x from the top.
 
     The lead symbol is a1 for h1 and the missing symbol z = w - weight for h2;
     the tested word is 0^r x a2..aj for h1 and 0^r x y a2..aj, with companion
     y = z - x + a1, for h2. x stays 0 when no candidate is a necklace.
     """
-    a1, z = syms[0], params.w_eff - sum(syms)
-    j = params.n - 1
-    while j and not syms[j]:
-        j -= 1
-    pad, tail = (0,) * (params.n - 1 - j), syms[1 : j + 1]
+    a1, z, r, tail = _window_head(params.n, params.w_eff, syms)
     x = 0
     for cand in range(min(params.t - 1, z + a1), 0, -1):
-        word = pad + ((cand, z - cand + a1) if msr else (cand,)) + tail
+        word = (0,) * r + ((cand, z - cand + a1) if msr else (cand,)) + tail
         p, it = _period_count(word, len(word))
         if stats is not None:
             stats.add(tests=1, comparisons=it)
@@ -368,11 +398,13 @@ def iter_successor_chunks(
     """Stream the cycle the colex rule h1 draws from ``start``, as lists of symbols.
 
     ``start`` (default all zeros) is validated before the iterator is returned.
-    The first chunk is the start window. One full period takes |Sigma_t(n,w)| - n
-    rule calls, unless ``steps`` sets the count. h2 streams only through
-    ``bwcycles.msr.iter_msr_chunks``, which checks its w < t.
+    The first chunk is the start window; every later chunk is a list of exactly
+    one symbol, the successor of the window before it. One full period takes
+    |Sigma_t(n,w)| - n rule calls, unless ``steps`` sets the count. ``stats``
+    gains the symbols yielded and their tests when the stream ends or is closed.
+    h2 streams only through ``bwcycles.msr.iter_msr_chunks``, which checks its w < t.
     """
-    return _successor_chunks(params, *_successor_start(params, start, steps), stats, False)
+    return _successor_stream(params, *_successor_start(params, start, steps), stats, False)
 
 
 def _successor_start(params, start, steps):
@@ -391,118 +423,46 @@ def _successor_start(params, start, steps):
     return syms, steps
 
 
-def _successor_chunks(params, syms, steps, stats, msr):
-    """The one fast successor loop, for h1 (``msr`` false) and h2 (``msr`` true).
-
-    Yields the start window, then ``steps`` successors in chunks. Per symbol,
-    the largest candidate x that a necklace 0^r x a2..aj (h1) or 0^r x y a2..aj
-    (h2, y = z - x + a1) can have is found arithmetically, and one necklace
-    test decides between it and the symbol below. The window is a ``str`` of
-    code points, so the zero-run search, the zero check and the shift run in
-    C. j, the position of the last nonzero symbol among a2..an (0 for none),
-    is carried: n-1 after a nonzero symbol, one less after a zero. So is the
-    missing weight z. Counters are flushed once per chunk.
-    """
+def _successor_stream(params, syms, steps, stats, msr):
+    """The start window, then ``steps`` successors under h1 or h2, one ``_successor``
+    call and one one-symbol list each."""
     t, n, w = params.t, params.n, params.w_eff
-    tmax, n1, word_len = t - 1, n - 1, n + 1 if msr else n
-    pads = ["\0" * r for r in range(n)]
-    if stats is not None:
-        stats.add(symbols=len(syms))
-    yield list(syms)
-    win = "".join(map(chr, syms))
-    z = w - sum(syms)
-    j = max(len(win.rstrip("\0")) - 1, 0)
-    while steps > 0:
-        k = min(steps, SUCCESSOR_CHUNK)
-        steps -= k
-        chunk = []
-        append = chunk.append
-        tests = iters = 0
-        for _ in range(k):
-            a1 = ord(win[0])
-            rest = win[1:]  # a2..an: the tail a2..aj, then r zeros
-            u = z + a1
-            # h1 keeps the weight within w; for h2 the companion y stays >= 0
-            # (and below t, as z + a1 <= w < t)
-            x = u if u < tmax else tmax
-            if x:
-                r = n1 - j
-                if r:
-                    # a symbol that follows a run of r zeros inside the tail caps
-                    # x; the tail ends nonzero, so each run is followed, and the
-                    # search stops at the trailing run, which starts at j
-                    pad = pads[r]
-                    q = rest.find(pad)
-                    while q < j:
-                        c = ord(rest[q + r])
-                        if c < x:
-                            x = c
-                            if not c:
-                                break
-                        q = rest.find(pad, q + r + 1)
-                else:
-                    # with no padding, x is at most every tail symbol
-                    if "\0" in rest:
-                        x = 0
-                    elif rest:
-                        c = ord(min(rest))
-                        if c < x:
-                            x = c
-                    if msr and x + x > u:
-                        # y follows x, and the rotation starting at y caps x:
-                        # x <= y, i.e. 2x <= a1 + z. Starting above that can
-                        # need several decrements (seen at t=7, n=2, w=6,
-                        # window 13).
-                        x = u // 2
-                if x:
-                    if msr:
-                        word = f"{pads[r]}{chr(x)}{chr(u - x)}{rest[:j]}"
-                    else:
-                        word = f"{pads[r]}{chr(x)}{rest[:j]}"
-                    p, it = _period_count(word, word_len)
-                    tests += 1
-                    iters += it
-                    if not p:
-                        # the start point can fail, but then the symbol below holds
-                        x -= 1
-            lead = z if msr else a1
-            s = lead if lead > x else 0 if lead == x else lead + 1
-            append(s)
-            z += a1 - s
-            win = rest + chr(s)
-            if s:
-                j = n1
-            elif j:
-                j -= 1
-        if w - z != sum(map(ord, win)):
-            raise AssertionError(f"carried weight drifted: {w - z} != {sum(map(ord, win))}")
+    counted, symbols = GenStats(), len(syms)
+    try:
+        yield list(syms)
+        for _ in range(steps):
+            s = _successor(t, n, w, syms, msr, counted)
+            symbols += 1
+            yield [s]
+            syms = syms[1:] + (s,)
+    finally:
         if stats is not None:
-            stats.add(symbols=k, tests=tests, comparisons=iters)
-        yield chunk
+            stats.add(symbols=symbols, tests=counted.necklace_tests,
+                      comparisons=counted.comparisons)
 
 
 def _resumed_chunks(params, syms, steps, stats, msr, walk):
-    """``_successor_chunks(params, syms, steps, stats, msr)``'s symbols, mostly from a walk.
+    """``_successor_stream(params, syms, steps, stats, msr)``'s symbols, mostly from a walk.
 
     A window W ends a necklace's chunk exactly when W is that necklace (h1, W not
     0^n) or [z] + W is (h2, z = w - weight(W)), as the tests check on a grid. So
     the rule steps only until that holds, at most n+1 times, ``walk(params, stats,
     after)`` descends there and fresh walks (``after`` None) go round the cycle.
     """
-    n, w = params.n, params.w_eff
+    t, n, w = params.t, params.n, params.w_eff
     counted, head, left = GenStats(), list(syms), steps
     walks = walk(params, counted, None)  # replaced by the resumed walk at a chunk end
     try:
         while left:
-            win = head[-n:]
-            node = [w - sum(win), *win] if msr else win
+            win = tuple(head[-n:])
+            node = (w - sum(win), *win) if msr else win
             p, it = _period_count(node, len(node))
             counted.add(tests=1, comparisons=it)
             if p and (msr or any(win)):
                 walks = walk(params, counted, node)
                 next(walks)  # ``node``'s chunk, which the head already ends
                 break
-            head.append(_one_successor(params, win, msr, counted))
+            head.append(_successor(t, n, w, win, msr, counted))
             left -= 1
         yield head
         while left > 0:

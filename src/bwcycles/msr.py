@@ -8,8 +8,8 @@ tree gives a universal cycle for the same weight-bounded universe as the
 colex-concatenation engine, but traversed in a different order.
 
 ``successor_h2`` is the O(n)-per-symbol rule (at most one necklace test per
-call), run by the streaming successor loop of ``bwcycles.grandmama`` with the
-missing symbol in the lead, and ``iter_msr_chunks`` streams it.
+call): the per-window successor decision of ``bwcycles.grandmama`` with the
+missing symbol in the lead, which ``iter_msr_chunks`` calls once per symbol.
 ``iter_reverse_colex_prefixes`` walks that parent tree itself, from the root
 0^n w down, and streams the aperiodic prefixes of the weight-w necklaces in
 its preorder, which is reverse colex order; ``check_conjecture`` compares the
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from itertools import chain, zip_longest
 from typing import Iterator, Sequence
 
-from bwcycles.grandmama import (GenStats, UCycle, _exhaustive_successor, _one_successor,
-                                _successor_chunks, _successor_start, _validate_window)
+from bwcycles.grandmama import (GenStats, UCycle, _exhaustive_successor, _successor,
+                                _successor_start, _successor_stream, _validate_window)
 from bwcycles.words import ParamSet, Word, _period_count
 
 __all__ = [
@@ -63,16 +63,15 @@ def successor_h2(
     Same decision shape as the colex successor, with the missing symbol z in
     the leading role: find the largest x >= 1 such that 0^(n-j) x y a2..aj is a
     necklace of length n+1 (y keeps the weight at w); emit 0 if z = x, z + 1 if
-    z < x, and plain z otherwise. The default path is the first symbol of a
-    one-step run of the streaming successor loop that ``successor_h1`` also
-    runs, with z in a1's place, and costs at most one necklace test;
+    z < x, and plain z otherwise. The default path makes the successor decision
+    of ``successor_h1`` with z in a1's place, at most one necklace test;
     ``exhaustive=True`` is the brute-force twin that tests every candidate.
     """
     _require_small_weight(params)
     syms = _validate_window(params, window)
     if exhaustive:
         return _exhaustive_successor(params, syms, True, stats)
-    return _one_successor(params, syms, True, stats)
+    return _successor(params.t, params.n, params.w_eff, syms, True, stats)
 
 
 def iter_msr_chunks(
@@ -83,7 +82,7 @@ def iter_msr_chunks(
 ) -> Iterator[list[int]]:
     """``iter_successor_chunks`` for the missing-symbol rule h2, after its w < t check."""
     _require_small_weight(params)
-    return _successor_chunks(params, *_successor_start(params, start, steps), stats, True)
+    return _successor_stream(params, *_successor_start(params, start, steps), stats, True)
 
 
 def generate_msr(
@@ -264,22 +263,18 @@ def check_conjecture(params: ParamSet) -> ConjectureReport:
     that those runs emit the reverse-colex sequence rather than h2's there.
     The shorter stream reads as -1 past its end.
     """
-    lengths = [0, 0]
-
-    def counted(chunks, k):
-        for chunk in chunks:
-            lengths[k] += len(chunk)
-            yield from chunk
-
-    a = counted(iter_msr_chunks(params), 0)
-    b = counted(iter_reverse_colex_prefixes(params), 1)
-    divergence = None
+    a = chain.from_iterable(iter_msr_chunks(params))
+    b = chain.from_iterable(iter_reverse_colex_prefixes(params))
+    divergence, i = None, -1
     for i, (x, y) in enumerate(zip_longest(a, b, fillvalue=-1)):
         if x != y:
             divergence = (i, x, y)
             break
-    for _ in chain(a, b):
-        pass
+    # each stream gave i + 1 symbols, one less if it had ended (read as -1), and
+    # after a divergence those still left
+    lengths = [i + 1, i + 1]
+    if divergence:
+        lengths = [i + (x >= 0) + sum(1 for _ in a), i + (y >= 0) + sum(1 for _ in b)]
     return ConjectureReport(
         t=params.t,
         n=params.n,

@@ -167,14 +167,14 @@ def colex_less(a: "Word | Sequence[int]", b: "Word | Sequence[int]") -> bool:
     return ta[::-1] < tb[::-1]
 
 
-def _period_count(a: Sequence[int] | str, n: int) -> tuple[int, int]:
+def _period_count(a: Sequence[int], n: int) -> tuple[int, int]:
     """(smallest period if a[:n] is a necklace else 0, inner-loop iterations run).
 
     The package's one necklace test, a single left-to-right pass: p is the
     period of the prefix scanned so far; a symbol below its p-back neighbour
     kills minimality, a symbol above it restarts the period at the full prefix
     length. The word is a necklace exactly when the final p divides n. Symbols
-    are only compared, so tuples, lists and ``str`` (code point order) all work.
+    are only compared, so tuples and lists both work.
     """
     p = 1
     for i in range(1, n):

@@ -426,9 +426,8 @@ def test_generate_stats_on_stderr(capsys):
 
 
 def test_generate_stats_across_successor_chunks(capsys):
-    # 10,000 symbols take the successor loop past its 4096-symbol chunk twice
     p, limit = ParamSet(10, 7, 9), 10_000
-    assert p.universe_size > limit > 2 * grandmama.SUCCESSOR_CHUNK
+    assert p.universe_size > limit
     for flags, build in [
         (("--engine", "msr"), lambda stats: _reverse_colex_head(p, stats, limit)),
         (("--engine", "msr", "--seed-window", "0,1,0,2,0,0,3"),
@@ -462,6 +461,19 @@ def test_alphabet_wider_than_a_byte(capsys):
             seed = ",".join(doubled[i : i + 2])
             code, out, _ = run(capsys, "generate", *cell, "--engine", engine, "--seed-window", seed)
             assert code == 0 and out.split() == doubled[i : i + len(canonical)], (engine, seed)
+
+
+def test_seeded_alphabet_past_the_code_point_range(capsys):
+    # the successor rules take any t: a seeded run is the unseeded cycle rotated
+    cell = ("--t", "1114113", "--n", "2", "--w", "2")
+    for engine in ("grandmama", "msr"):
+        code, out, _ = run(capsys, "generate", *cell, "--engine", engine)
+        assert code == 0
+        canonical = out.split()
+        doubled = canonical + canonical
+        i = next(i for i in range(len(canonical)) if doubled[i : i + 2] == ["0", "1"])
+        code, out, err = run(capsys, "generate", *cell, "--engine", engine, "--seed-window", "0,1")
+        assert (code, err) == (0, "") and out.split() == doubled[i : i + len(canonical)], engine
 
 
 def _naive_render(cycle: UCycle, fmt: str, limit: int | None) -> str:
@@ -498,10 +510,9 @@ RENDER_KINDS = [  # (cell flags, library cycle for an engine, display shift)
 
 
 def test_generate_matches_naive_rendering(capsys, monkeypatch):
-    # small batches and chunks, so cells of 35-70 symbols cross several of each
+    # small batches, so cells of 35-70 symbols cross several
     batch = 16
     monkeypatch.setattr(cli, "RENDER_BATCH", batch)
-    monkeypatch.setattr(grandmama, "SUCCESSOR_CHUNK", 5)
     for flags, make, shift in RENDER_KINDS:
         concat = make("grandmama")
         seed, seeded = _seeded(concat, 3, shift)
@@ -534,9 +545,7 @@ def test_generate_matches_naive_rendering_past_two_batches(capsys):
     assert code == 0 and out == _naive_render(seeded, "delimited", limit)
 
 
-def test_decode_matches_library_at_every_position(capsys, monkeypatch):
-    # small successor chunks, so windows straddle chunk boundaries
-    monkeypatch.setattr(grandmama, "SUCCESSOR_CHUNK", 5)
+def test_decode_matches_library_at_every_position(capsys):
     # (4, 4): a one-symbol cycle, shorter than its window
     subsets_4_4 = (("--subsets", "4", "4"), lambda engine: ucycle_subsets(4, 4, engine), 1)
     for flags, make, shift in [*RENDER_KINDS, subsets_4_4]:

@@ -1,4 +1,4 @@
-from itertools import chain
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given, settings
@@ -375,15 +375,25 @@ def test_successor_rejects_non_integer_symbols():
         iter_msr_chunks(ParamSet(4, 3, 3), start=(0, 1.0, 0))
 
 
-def test_successor_alphabet_capped_at_the_code_point_range():
-    # the loop holds its window as text: every code point is a symbol, no more
+def test_successor_alphabet_past_the_code_point_range():
+    # symbols are plain ints, so the rules take alphabets past the 1,114,112 code points
     top = ParamSet(1_114_112, 2, 1_114_111)
     assert generate_by_successor(top, start=(0, 1_114_111), steps=3).symbols == (0, 1_114_111, 0, 0, 1)
     assert successor_h2(top, (0, 0)) == 1_114_111
-    with pytest.raises(ValueError, match="t <= 1114112"):
-        successor_h1(ParamSet(1_114_113, 2, 5), (0, 0))
-    with pytest.raises(ValueError, match="t <= 1114112"):
-        iter_msr_chunks(ParamSet(1_114_113, 2, 5))
+    for t in (1_114_113, 2**40):
+        wide = ParamSet(t, 2, t - 1)
+        for rule in (successor_h1, successor_h2):
+            for win in [(0, 0), (0, t - 1), (t - 1, 0), (1, t - 2)]:
+                assert rule(wide, win) == rule(wide, win, exhaustive=True), (t, rule, win)
+        p, start = ParamSet(t, 2, 5), (0, 3)
+        for win in words_iter(t, 2, 5):
+            for rule in (successor_h1, successor_h2):
+                assert rule(p, win) == rule(p, win, exhaustive=True), (t, rule, win)
+        steps = p.universe_size + 4
+        got = generate_by_successor(p, start=start, steps=steps).symbols
+        assert list(got) == _twin_run(successor_h1, p, start, steps), t
+        got = list(chain.from_iterable(iter_msr_chunks(p, start, steps)))
+        assert got == _twin_run(successor_h2, p, start, steps), t
 
 
 def test_successor_h1_single_test_budget():
@@ -547,6 +557,27 @@ def test_cycle_is_universal_property(t, n, w):
 SEEDED_BUDGET_CELLS = [(ParamSet(4, 10, 15), (0, 1, 0, 2, 0, 0, 3, 0, 0, 1)),
                        (ParamSet(10, 11, 9), (0, 1, 0, 2, 0, 0, 3, 0, 0, 1, 0)),
                        (ParamSet(300, 2, 299), (150, 43))]
+
+
+def test_partial_reads_count_only_the_steps_yielded():
+    # a stream closed after k symbols holds the counters of the rule calls behind
+    # them, whether k ends inside the start window, at its end or past it
+    for t, n, w in [(4, 3, 3), (5, 4, 4), (3, 6, 2), (6, 2, 5), (10, 5, 9)]:
+        p = ParamSet(t, n, w)
+        size = p.universe_size
+        for rule, stream in [(successor_h1, iter_successor_chunks), (successor_h2, iter_msr_chunks)]:
+            cycle = _twin_run(rule, p, (0,) * n, size - n)
+            for k in sorted({1, n - 1, n, n + 1, size // 2, size - 1} - {0}):
+                stats = GenStats()
+                chunks = stream(p, stats=stats)
+                got = list(islice(chain.from_iterable(chunks), k))
+                chunks.close()
+                calls = GenStats()
+                for i in range(max(k - n, 0)):
+                    rule(p, cycle[i : i + n], stats=calls)
+                assert got == cycle[:k], (p, rule, k)
+                assert (stats.symbols, stats.necklace_tests, stats.comparisons) == (
+                    max(k, n), calls.necklace_tests, calls.comparisons), (p, rule, k)
 
 
 def test_comparison_budget_spot():
