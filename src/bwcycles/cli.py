@@ -87,11 +87,7 @@ def _resolve_seed(args, cell: _Cell) -> tuple[int, ...] | None:
     """Displayed-alphabet seed window -> engine-alphabet window, or None."""
     if getattr(args, "seed_window", None) is None:
         return None
-    if args.engine == "reverse-colex":
-        raise ValueError("--seed-window needs a successor engine (grandmama or msr)")
     seed = parse_symbols(args.seed_window)
-    if len(seed) != cell.params.n:
-        raise ValueError(f"seed window must have length {cell.params.n}, got {len(seed)}")
     if cell.shift and any(s < cell.shift for s in seed):
         raise ValueError(f"seed symbols for {cell.kind} start at {cell.shift}")
     return tuple(s - cell.shift for s in seed)

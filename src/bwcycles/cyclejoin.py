@@ -16,8 +16,9 @@ only in their first symbol, one per endpoint cycle); swapping the successors of
 the two windows of every edge splices all cycles into one universal cycle. That
 splice, applied to the plain register map, is ``generic_successor``: the slow,
 obviously-correct reference the O(n)-per-symbol rules are tested against.
-``build_tree`` reads its labels from ``words.enumerate_bounded_necklaces`` and
-takes the MSR's w < t guard from ``bwcycles.msr``.
+``build_tree`` reads both trees' labels in one scan of ``words.words_iter``
+through the necklace-period test, and takes the MSR's w < t guard from
+``bwcycles.msr``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 
 from bwcycles.msr import _require_small_weight
 from bwcycles.words import (MAX_SCAN_WORDS, ParamSet, Word, _colex_key, _period_count, _render,
-                            _symbols, enumerate_bounded_necklaces, necklace_info, words_iter)
+                            _symbols, necklace_info, words_iter)
 
 __all__ = [
     "FeedbackKind",
@@ -228,13 +229,13 @@ def build_tree(
 ) -> CycleTree:
     """Materialize the full parent-rule tree for one register.
 
-    Both trees scan their ``params.universe_size`` candidates, so this is for
-    desk-scale instances: the PCR labels come from ``enumerate_bounded_necklaces``,
-    and for w < t each MSR label of length n+1 is a bounded window with its
-    missing symbol appended. Trees above ``max_nodes`` (default 10^6) are refused,
-    and so, before the scan, are cells with more than ``max_nodes`` * L candidate
-    words: each length-L necklace stands for at most L of them. So are cells with
-    more candidates than the enumerator's ``MAX_SCAN_WORDS``.
+    Both trees read their labels in one scan of the ``params.universe_size``
+    bounded words, so this is for desk-scale instances: a PCR label is a word
+    that is a necklace, and for w < t an MSR label of length n+1 is a window
+    with its missing symbol appended that is one. Trees above ``max_nodes``
+    (default 10^6) are refused, and so, before the scan, are cells with more
+    than ``max_nodes`` * L candidate words: each length-L necklace stands for at
+    most L of them. So are cells with more candidates than ``MAX_SCAN_WORDS``.
     """
     msr = kind is FeedbackKind.MSR
     if msr:
@@ -249,11 +250,10 @@ def build_tree(
     if words > MAX_SCAN_WORDS:
         raise ValueError(f"tree would scan {words} words, above the"
                          f" {MAX_SCAN_WORDS}-word limit of the necklace scan")
+    found = words_iter(t, n, w)
     if msr:
-        found = (win + (w - sum(win),) for win in words_iter(t, n, w))
-        labels = sorted((lab for lab in found if _period_count(lab, label_len)[0]), key=_colex_key)
-    else:
-        labels = [nk.symbols for nk in enumerate_bounded_necklaces(params)]
+        found = (win + (w - sum(win),) for win in found)
+    labels = sorted((lab for lab in found if _period_count(lab, label_len)[0]), key=_colex_key)
     if len(labels) > max_nodes:
         raise ValueError(f"tree has {len(labels)} nodes, above the cap {max_nodes}")
 

@@ -124,10 +124,12 @@ def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Ite
 
     What is left is a tie: a probe with L = i, or the scan child at lo when
     lo = L or i = 2 lo + 1, whose leading run is as long as its longest other
-    run. Each frame also carries F, the start of the least follower a[F:] of
-    the runs of length L inside b (n when L is 0); the scan child's run after
-    its 1 has the follower a[i:], which takes F's place when it is the longer
-    run or the smaller follower of two as long. No descendant changes these
+    run. A node has at most one tied child: the probe ties only when i = L,
+    and then lo = i, so there is no scan child; one block decides either.
+    Each frame also carries F, the start of the least follower a[F:] of the
+    runs of length L inside b (n when L is 0); the scan child's run after its
+    1 has the follower a[i:], which takes F's place when it is the longer run
+    or the smaller follower of two as long. No descendant changes these
     symbols, as the walk below a node changes only positions up to its change
     index. A tied candidate's own follower, its a[L:L+n-F] with L its leading
     run, decides it against a[F:]: below it the candidate is below every
@@ -195,29 +197,18 @@ def _concat_walk(params, stats, after=None):
                 elif r == L and r and a[ci:] < a[F:]:
                     F = ci
                 # the children's periods by decreasing position: probe, then scan
-                # down to lo, where only the child at lo can tie
-                if a[i] < tmax:
-                    if i > L:
-                        ps.append(n)
-                    else:
-                        # a tie, i == L: the follower a[i:] against a[F:]
-                        a[i] += 1
-                        g = a[F:]
-                        c = a[i:i + len(g)]
-                        if c < g:
-                            ps.append(n)
-                        elif c == g:
-                            p, it = _period_count(a, n)
-                            tests += 1
-                            iters += it
-                            if p:
-                                ps.append(p)
-                        a[i] -= 1
+                # down to lo. lo < i exactly when i > L, so at most one child
+                # ties, and it bumps lo: the scan child there, or else the probe
+                # when i == L, which leaves no scan. g, set only for a tie, is
+                # the follower the tied child is compared with
                 lo = i // 2
                 if L > lo:
                     lo = L
                 j = i - 1
+                g = None
                 if lo < i:
+                    if a[i] < tmax:
+                        ps.append(n)
                     ps += [n] * (i - 1 - lo)
                     j = lo - 1
                     if L < lo and i % 2 == 0:
@@ -233,21 +224,30 @@ def _concat_walk(params, stats, after=None):
                                 h = a[i:]
                                 if h < g:
                                     g = h
-                        a[lo] = 1
-                        c = a[lo:lo + len(g)]
-                        if c < g:
-                            ps.append(n)
-                        elif c > g:
-                            j = lo
+                elif a[i] < tmax:
+                    # the probe's follower a[i:] against a[F:]
+                    g = a[F:]
+                if g is not None:
+                    # bump a[lo] (from 0 for the scan child, from a[i] for the
+                    # probe) and compare the child's own follower with g
+                    s = a[lo]
+                    a[lo] = s + 1
+                    c = a[lo:lo + len(g)]
+                    if c < g:
+                        ps.append(n)
+                    elif c > g:
+                        # a rejected child at lo ends the scan above it (after a
+                        # probe tie there is no scan, and ps stays empty)
+                        j = lo
+                    else:
+                        p, it = _period_count(a, n)
+                        tests += 1
+                        iters += it
+                        if p:
+                            ps.append(p)
                         else:
-                            p, it = _period_count(a, n)
-                            tests += 1
-                            iters += it
-                            if p:
-                                ps.append(p)
-                            else:
-                                j = lo
-                        a[lo] = 0
+                            j = lo
+                    a[lo] = s
                 if ps:
                     # the children bump positions j+1 .. j+len(ps)
                     fr = [ps, j + 1, wt + 1, i, L, F]

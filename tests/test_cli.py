@@ -146,6 +146,22 @@ def test_generate_usage_errors(capsys):
         assert out == "", case
 
 
+def test_seed_refusals_carry_the_library_message(capsys):
+    # the library refuses a seed for reverse-colex and a seed of the wrong length
+    # before any chunk; every command prints its one message and nothing on stdout
+    p = ParamSet(5, 3, 4)
+    cell = ("--t", "5", "--n", "3", "--w", "4")
+    commands = [("generate", "--format", "compact"), ("generate", "--format", "json"),
+                ("decode", "--position", "0"), ("verify",)]
+    for engine, seed in [("reverse-colex", (0, 0, 1)), ("grandmama", (0, 1)), ("msr", (0, 1))]:
+        with pytest.raises(ValueError) as refused:
+            combmaps.engine_chunks(p, engine, seed)
+        for command, *flags in commands:
+            code, out, err = run(capsys, command, *cell, *flags, "--engine", engine,
+                                 "--seed-window", ",".join(map(str, seed)))
+            assert (code, out, err) == (2, "", f"error: {refused.value}\n"), (command, engine)
+
+
 def test_word_from_string_reads_what_the_cli_reads(capsys):
     assert cli.parse_symbols is parse_symbols
     canonical = run(capsys, "generate", "--t", "5", "--n", "3", "--w", "4",

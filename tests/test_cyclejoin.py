@@ -141,7 +141,6 @@ def test_build_tree_refuses_scans_past_the_enumerator_limit(monkeypatch):
     def must_not_run(params):
         raise AssertionError("scanned past the limit")
 
-    monkeypatch.setattr(cyclejoin, "enumerate_bounded_necklaces", must_not_run)
     monkeypatch.setattr(cyclejoin, "words_iter", lambda t, n, w: must_not_run(None))
     # both pass the node cap: 23,242,039 <= 40 * 10^6 and 26,978,328 <= 36 * 10^6
     # words, but the scans read every word of weight <= w (PCR) or every window of

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import chain, islice
 
 import pytest
@@ -609,6 +610,42 @@ def test_follower_rule_leaves_few_tests_per_symbol():
         assert stats.necklace_tests <= budget * stats.symbols, (cell, stats)
 
 
+# (walk, cell, SHA-256 of its chunks as text, (symbols, necklace tests, comparisons))
+PAPER_CELL_PINS = [
+    (iter_concat_prefixes, (1000, 2, 999),
+     "9b69f72fef0ed025c8d6c69c14101ba9bcf6c245f667d17d1c5628afdeb0bc2e", (500500, 249999, 249999)),
+    (iter_concat_prefixes, (198, 3, 197),
+     "7b24fa2c5869ebd31c5a2c4c98f43c734eb76a6c47a658892ffaefa1e9ea4a66", (1313400, 431080, 855790)),
+    (iter_concat_prefixes, (48, 5, 47),
+     "d5de492b66b90a1a3bbf5cca673a802060387d50220df2ccb41119446ca6db44", (2598960, 437872, 1594537)),
+    (iter_concat_prefixes, (4, 10, 15),
+     "7bfe9168e384306a9793ab7665a0d03fd5c6c6ccd000330354f1ab1b1c4bd86c", (582440, 6650, 54291)),
+    (iter_reverse_colex_prefixes, (1000, 2, 999),
+     "7dfeee957f95d26a21a2a9af4c3afbe6d44952fd0000ea0df64c59b7b7fd926d", (500500, 166831, 332998)),
+    (iter_reverse_colex_prefixes, (198, 3, 197),
+     "3bc201d261654f99e7944e8ba871baf701dee8f246da7355c6a3a73458b6047d", (1313400, 327667, 962169)),
+    (iter_reverse_colex_prefixes, (48, 5, 47),
+     "eff779ad448624518245901627e2d5ddc3d73808f1527d6ca7d834a1bcd82c1f", (2598960, 365654, 1565683)),
+    (iter_reverse_colex_prefixes, (10, 11, 9),
+     "a649d7b277b2b8bee45343aebdc953816318d91a510ff4443805b66751a81272", (167960, 964, 10020)),
+]
+
+
+@pytest.mark.slow
+def test_walks_on_the_paper_cells_are_pinned():
+    # the subset and multiset cells (n-k+1, k, n-k) and (n, k, n-1) with small k, and
+    # one tie-heavy cell per walk: every chunk, with its bounds, and every counter
+    for walk, cell, digest, counts in PAPER_CELL_PINS:
+        stats, h = GenStats(), hashlib.sha256()
+        for chunk in walk(ParamSet(*cell), stats):
+            h.update((" ".join(map(str, chunk)) + "\n").encode())
+        assert h.hexdigest() == digest, (walk.__name__, cell)
+        assert (stats.symbols, stats.necklace_tests, stats.comparisons) == counts, (walk.__name__, cell)
+        # the C5 budget: one necklace test and 16 symbol comparisons per symbol
+        assert stats.necklace_tests <= stats.symbols, (walk.__name__, cell)
+        assert 2 * stats.comparisons <= 16 * stats.symbols, (walk.__name__, cell)
+
+
 def _suspended(walk, names):
     """The named locals of a walk suspended at a yield, as text: its whole state
     (None for those the root's yield comes before)."""
@@ -624,7 +661,8 @@ MSR_TREE_WALK = (msr._msr_tree_walk, 1, ("a", "stack", "path", "j", "L", "F"))
 def test_resumed_walks_stream_the_fresh_walks_rest():
     # every node of each walk on every cell with t <= 6, n <= 7 and at most 3 * 10^4
     # words, and every so many nodes (and each deeper than all before) of MSR cells
-    # whose paths run over a hundred frames deep. A walk resumed at a node descends
+    # whose paths run over a hundred frames deep and of two concat cells rich in
+    # tied children, (4,10,15) and (48,5,47). A walk resumed at a node descends
     # to it, yields its chunk first and then holds the fresh walk's scratch word,
     # stack, path and entered child, so it streams exactly the fresh walk's rest; on
     # cells of at most 3000 words it is drained to the end too
@@ -637,7 +675,8 @@ def test_resumed_walks_stream_the_fresh_walks_rest():
                     runs += [(p, walk, 1) for walk in [CONCAT_WALK] + [MSR_TREE_WALK] * (w < t)]
     assert len(runs) == 555
     runs += [(ParamSet(300, 2, 299), MSR_TREE_WALK, 997), (ParamSet(1000, 1, 999), MSR_TREE_WALK, 31),
-             (ParamSet(60, 3, 59), MSR_TREE_WALK, 101)]
+             (ParamSet(60, 3, 59), MSR_TREE_WALK, 101), (ParamSet(4, 10, 15), CONCAT_WALK, 997),
+             (ParamSet(48, 5, 47), CONCAT_WALK, 9973)]
     depths = []  # the most frames on each run's stack
     for p, (walk, extra, names), every in runs:
         fresh, states, depth = [], {}, 0
@@ -655,7 +694,7 @@ def test_resumed_walks_stream_the_fresh_walks_rest():
             assert _suspended(resumed, names) == state, (p, node)
             if p.universe_size <= 3000:
                 assert list(resumed) == fresh[k + 1:], (p, node)
-    assert max(depths[:555]) == 25 and depths[555:] == [298, 499, 115]
+    assert max(depths[:555]) == 25 and depths[555:] == [298, 499, 115, 15, 47]
 
 
 def test_ucycle_windows_wrap():
