@@ -1,15 +1,15 @@
 """Universal cycles for weight-bounded words: concatenation and successor engines.
 
 The concatenation engine walks the first-nonzero parent tree of necklaces
-iteratively (probe the change index, then scan left), visiting necklaces in
-colexicographic order and emitting each one's aperiodic prefix. It decides most
-children by their zero runs and tests only the rest. The successor
-engine produces the identical cyclic sequence one symbol at a time from any
-starting window, paying O(n) per symbol and at most one necklace test. One
-per-window function makes that decision for it and for the missing-symbol rule
-of ``bwcycles.msr``; only the lead symbol and the tested word differ. The rule
-calls and the streams call it once per symbol, and ``exhaustive=True`` swaps in
-a small brute-force twin that tests every candidate from the top.
+iteratively, visiting necklaces in colexicographic order and emitting each one's
+aperiodic prefix. It decides each child when it visits it, most of them by their
+zero runs, and tests only the rest. The successor engine produces the identical
+cyclic sequence one symbol at a time from any starting window, paying O(n) per
+symbol and at most one necklace test. One per-window function makes that
+decision for it and for the missing-symbol rule of ``bwcycles.msr``; only the
+lead symbol and the tested word differ. The rule calls and the streams call it
+once per symbol, and ``exhaustive=True`` swaps in a small brute-force twin that
+tests every candidate from the top.
 
 Both are instrumented: ``GenStats`` counts emitted symbols, necklace tests, and
 inner-loop iterations of the necklace test (each iteration is at most two
@@ -106,45 +106,38 @@ def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Ite
 
     Every node except the root is 0^i b, where b = a_i..a_(n-1) starts with
     a_i >= 1 and i, its change index, is the position its parent bumped; the
-    root is the all-zero word, with change index n-1. Its children are the
-    probe 0^i (a_i+1) a_(i+1).. and, scanning left, the words 0^j 1 0^(i-1-j) b
-    that are necklaces. Most are decided without a test. A node is a necklace,
-    so b ends nonzero (a trailing zero would rotate to the front), and L, the
-    longest zero run inside b (0 for none), is at most i. Each frame carries L:
-    a probe child keeps it, the scan child at j has max(i-1-j, L). Then:
+    root is the all-zero word, whose only child is 0^(n-1)1 (its other
+    candidates end in zero). A node's candidate children are the scan children
+    0^j 1 0^(i-1-j) b for j < i and, when a_i < t-1, the probe
+    0^i (a_i+1) a_(i+1).. for j = i. The walk decides each one when it visits
+    it, most without a test. A node is a necklace, so b ends nonzero (a
+    trailing zero would rotate to the front), and L, the longest zero run
+    inside b (0 for none), is at most i. A word with a zero run longer than
+    its leading one is no necklace, so the visits start at lo = max(i // 2, L):
+    under i // 2 the run after the 1 is the longer one, under L a run inside b
+    is.
+
+    Each frame carries L and F, the start of the least follower a[F:] of the
+    runs of length L inside b (n when L is 0). No descendant changes these
+    symbols, as the walk below a node changes only positions up to its change
+    index. A probe child keeps them; a scan child first folds in the run
+    0^(i-1-j) after its 1, followed by a[i:], which takes L and F when it is
+    longer than L, and F alone when it is as long with a smaller follower.
+    With the child's own L and F:
 
     - a word that ends nonzero and whose leading zero run is longer than each
       of its other zero runs is below all its rotations: a Lyndon word, with
-      period n. So the probe is one when i > L, and the scan child at j is one
-      when j > L and i-1-j < j;
-    - a word with a zero run longer than its leading one is no necklace. So
-      the scan stops below lo = max(i // 2, L): under i // 2 the run after
-      the 1 is the longer one, under L a run inside b is;
-    - the root's only child is 0^(n-1)1; its other candidates end in zero.
+      period n. So a child with j > L is one;
+    - a tie, j = L, is decided by the child's own follower a[j:j+n-F]
+      against a[F:]: below it the child is below every rotation that starts
+      at an equally long run, so a Lyndon word; above it the child is above
+      one of them, so no necklace. Only an equal follower (or L = 0, which
+      leaves F empty) costs a ``_period_count`` test, tallied in ``stats``.
 
-    What is left is a tie: a probe with L = i, or the scan child at lo when
-    lo = L or i = 2 lo + 1, whose leading run is as long as its longest other
-    run. A node has at most one tied child: the probe ties only when i = L,
-    and then lo = i, so there is no scan child; one block decides either.
-    Each frame also carries F, the start of the least follower a[F:] of the
-    runs of length L inside b (n when L is 0); the scan child's run after its
-    1 has the follower a[i:], which takes F's place when it is the longer run
-    or the smaller follower of two as long. No descendant changes these
-    symbols, as the walk below a node changes only positions up to its change
-    index. A tied candidate's own follower, its a[L:L+n-F] with L its leading
-    run, decides it against a[F:]: below it the candidate is below every
-    rotation that starts at an equally long run, so a Lyndon word; above it
-    the candidate is above one of them, so no necklace. Only an equal follower
-    (or L = 0, which leaves F empty) costs a ``_period_count`` test, and the
-    period is kept for entering the child, so every tested candidate is tested
-    exactly once; the tests are tallied in ``stats``. The root's period is 1
-    and costs no test.
-
-    Besides the scratch word, memory is one frame of ints per node with
-    children on the current path (at most w + 1) and the kept periods of the
-    children not yet entered, at most n in all (each frame holds the positions
-    between its entered child and its own change index): O(n * t) no matter
-    how long the output is.
+    So every candidate is tested at most once. The root's period is 1 and its
+    child's n, and neither costs a test. Besides the scratch word, memory is
+    one frame of five ints per node of weight below w on the current path, at
+    most w - 1 of them: O(n * t) no matter how long the output is.
     """
     return _concat_walk(params, stats)
 
@@ -166,101 +159,69 @@ def _concat_walk(params, stats, after=None):
             symbols = 1
         if w == 0:
             return
-        # one frame per node with children on the current path: [periods of the
-        # children left, in reverse visiting order, next child's position, child
-        # weight, change index, L, F]. The root's frame holds its only child
-        # 0^(n-1)1 (w >= 1, so t >= 2), a Lyndon word, and the L and F it keeps.
-        fr = [[n], n - 1, 1, n - 1, 0, n]
+        # the root's only child 0^(n-1)1 (w >= 1, so t >= 2), a Lyndon word
+        a[n - 1] = 1
+        if path:
+            path.pop()
+        if not path:
+            yield a[:]
+            symbols += n
+        if w == 1:
+            return
+        # one frame per node of weight below w on the current path: [change
+        # index, next child's position, child weight, L, F]
+        fr = [n - 1, (n - 1) // 2, 2, 0, n]
         stack = [fr]
         while True:
-            # enter the child that bumps position i
-            i = fr[1]
+            i, j, wt, L, F = fr
             if path:
-                # the path's child: drop the periods of the siblings before it
-                i = path.pop()
-                del fr[0][len(fr[0]) + fr[1] - i:]
-            fr[1] = i + 1
-            a[i] += 1
-            wt = fr[2]
-            p = fr[0].pop()
+                # the path's child: its siblings before it are never decided
+                j = path.pop()
+            elif j > i:
+                # climb out of a node whose children are done
+                stack.pop()
+                if not stack:
+                    return
+                a[i] -= 1
+                fr = stack[-1]
+                continue
+            fr[1] = j + 1
+            if j < i:
+                # the scan child's L and F: it adds the run 0^(i-1-j) after its 1,
+                # followed by a[i:]
+                r = i - 1 - j
+                if r > L:
+                    L, F = r, i
+                elif r == L and r and a[i:] < a[F:]:
+                    F = i
+            elif a[i] == tmax:
+                continue
+            a[j] += 1
+            p = n
+            if j == L:
+                # a tie: the child's own follower against a[F:]
+                g = a[F:]
+                c = a[j:j + n - F]
+                if c == g:
+                    p, it = _period_count(a, n)
+                    tests += 1
+                    iters += it
+                elif c > g:
+                    p = 0
+                if not p:
+                    a[j] -= 1
+                    continue
             if not path:
                 yield a[:p]
                 symbols += p
             if wt < w:
-                ps = []
-                # this node's L and F: a scan child adds the run 0^(ci-1-i) after
-                # its 1, followed by a[ci:]
-                ci, L, F = fr[3], fr[4], fr[5]
-                r = ci - 1 - i
-                if r > L:
-                    L, F = r, ci
-                elif r == L and r and a[ci:] < a[F:]:
-                    F = ci
-                # the children's periods by decreasing position: probe, then scan
-                # down to lo. lo < i exactly when i > L, so at most one child
-                # ties, and it bumps lo: the scan child there, or else the probe
-                # when i == L, which leaves no scan. g, set only for a tie, is
-                # the follower the tied child is compared with
-                lo = i // 2
+                lo = j // 2
                 if L > lo:
                     lo = L
-                j = i - 1
-                g = None
-                if lo < i:
-                    if a[i] < tmax:
-                        ps.append(n)
-                    ps += [n] * (i - 1 - lo)
-                    j = lo - 1
-                    if L < lo and i % 2 == 0:
-                        ps.append(n)
-                    else:
-                        # a tie with the runs inside b (lo == L), with the run after
-                        # the 1 (i == 2 lo + 1, lo >= 1), or both: the least follower
-                        if L < lo:
-                            g = a[i:]
-                        else:
-                            g = a[F:]
-                            if lo and i == lo + lo + 1:
-                                h = a[i:]
-                                if h < g:
-                                    g = h
-                elif a[i] < tmax:
-                    # the probe's follower a[i:] against a[F:]
-                    g = a[F:]
-                if g is not None:
-                    # bump a[lo] (from 0 for the scan child, from a[i] for the
-                    # probe) and compare the child's own follower with g
-                    s = a[lo]
-                    a[lo] = s + 1
-                    c = a[lo:lo + len(g)]
-                    if c < g:
-                        ps.append(n)
-                    elif c > g:
-                        # a rejected child at lo ends the scan above it (after a
-                        # probe tie there is no scan, and ps stays empty)
-                        j = lo
-                    else:
-                        p, it = _period_count(a, n)
-                        tests += 1
-                        iters += it
-                        if p:
-                            ps.append(p)
-                        else:
-                            j = lo
-                    a[lo] = s
-                if ps:
-                    # the children bump positions j+1 .. j+len(ps)
-                    fr = [ps, j + 1, wt + 1, i, L, F]
-                    stack.append(fr)
-                    continue
-            a[i] -= 1
-            # climb out of every node whose children are done
-            while not fr[0]:
-                stack.pop()
-                if not stack:
-                    return
-                a[fr[3]] -= 1
-                fr = stack[-1]
+                fr = [j, lo, wt + 1, L, F]
+                stack.append(fr)
+            else:
+                a[j] -= 1
     finally:
         if stats is not None:
             stats.add(symbols=symbols, tests=tests, comparisons=iters)

@@ -58,11 +58,16 @@ def test_concat_prefix_chunks():
 
 
 def test_concat_matches_brute_reference():
-    for t in range(1, 5):
-        for n in range(1, 6):
+    # every cell with t, n <= 7 and at most 3 * 10^4 words
+    cells = 0
+    for t in range(1, 8):
+        for n in range(1, 8):
             for w in range(0, n * (t - 1) + 1):
                 params = ParamSet(t, n, w)
-                assert generate_concat(params).symbols == brute_concat(params), (t, n, w)
+                if params.universe_size <= 3 * 10**4:
+                    assert generate_concat(params).symbols == brute_concat(params), (t, n, w)
+                    cells += 1
+    assert cells == 530
 
 
 def _brute_necklaces(t, length, max_weight):
@@ -333,7 +338,7 @@ def test_reverse_walk_stats_pinned():
 def test_seeded_run_stats_pinned():
     # (necklace_tests, comparisons, symbols) of a seeded full period from mid-cycle:
     # the rule's steps to a chunk end, the walk's descent to that necklace, its rest
-    for engine, cell, seed, expected in [("grandmama", (4, 6, 9), (0, 1, 2, 2, 1, 2), (94, 422, 2338)),
+    for engine, cell, seed, expected in [("grandmama", (4, 6, 9), (0, 1, 2, 2, 1, 2), (93, 417, 2338)),
                                          ("msr", (7, 5, 6), (0, 1, 2, 0, 0), (16, 66, 462))]:
         stats = GenStats()
         _, chunks = engine_chunks(ParamSet(*cell), engine, seed, None, stats)
@@ -653,7 +658,7 @@ def _suspended(walk, names):
 
 
 # (walk, node length less n, the locals its next step reads)
-CONCAT_WALK = (grandmama._concat_walk, 0, ("a", "stack", "path", "i", "wt"))
+CONCAT_WALK = (grandmama._concat_walk, 0, ("a", "stack", "path", "j", "L", "F"))
 MSR_TREE_WALK = (msr._msr_tree_walk, 1, ("a", "stack", "path", "j", "L", "F"))
 
 
@@ -694,7 +699,7 @@ def test_resumed_walks_stream_the_fresh_walks_rest():
             assert _suspended(resumed, names) == state, (p, node)
             if p.universe_size <= 3000:
                 assert list(resumed) == fresh[k + 1:], (p, node)
-    assert max(depths[:555]) == 25 and depths[555:] == [298, 499, 115, 15, 47]
+    assert max(depths[:555]) == 24 and depths[555:] == [298, 499, 115, 14, 46]
 
 
 def test_ucycle_windows_wrap():
