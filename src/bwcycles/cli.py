@@ -9,10 +9,13 @@ Encoded kinds are read from ``combmaps.ENCODINGS`` and every engine starts
 through ``combmaps.engine_chunks``. A seed window is checked before anything
 is written, and --stats reports the same counters as the library run of the
 same cycle: the colex walk's for unseeded grandmama, the msr tree walk's for
-unseeded msr and reverse-colex, the rule steps' and the walk's for a seeded run. Exit
-codes: 0 success, 1 verification failure, 2 usage or parameter error (a
-ValueError, raised here or by the library layer that owns the rule), and
-every error prints a single "error: ..." line on stderr.
+unseeded msr and reverse-colex, the rule steps' and the walk's for a seeded run.
+The parser is built once, at import, so a call only parses and dispatches; the
+cell flags (--t/--n/--w and one per encoding) and --engine are declared once, in
+a parent parser that generate, decode and verify share. Exit codes: 0 success,
+1 verification failure, 2 usage or parameter error (a ValueError, raised here
+or by the library layer that owns the rule), and every error prints a single
+"error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -57,14 +60,6 @@ class _Cell:
     shift: int = 0  # added to every engine symbol on output
 
 
-def _add_cell_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--t", type=int, help="alphabet size")
-    sp.add_argument("--n", type=int, help="window length")
-    sp.add_argument("--w", type=int, help="weight bound")
-    for kind, enc in ENCODINGS.items():
-        sp.add_argument(f"--{kind}", nargs=2, type=int, metavar=("N", "K"), help=enc.help)
-
-
 def _resolve_cell(args) -> _Cell:
     given = {kind: getattr(args, kind.replace("-", "_")) for kind in ENCODINGS}
     groups = [kind for kind, nk in given.items() if nk is not None]
@@ -85,7 +80,7 @@ def _resolve_cell(args) -> _Cell:
 
 def _resolve_seed(args, cell: _Cell) -> tuple[int, ...] | None:
     """Displayed-alphabet seed window -> engine-alphabet window, or None."""
-    if getattr(args, "seed_window", None) is None:
+    if args.seed_window is None:
         return None
     seed = parse_symbols(args.seed_window)
     if cell.shift and any(s < cell.shift for s in seed):
@@ -208,6 +203,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.sequence is not None and args.seed_window is not None:
+        raise ValueError("give either --sequence or --seed-window, not both")
     cell = _resolve_cell(args)
     fits = ("words", "fixed-weight") if cell.enc is None else (cell.kind,)
     against = args.against or fits[0]
@@ -263,20 +260,17 @@ def _conjecture_line(report) -> str:
 
 
 def cmd_conjecture(args) -> int:
-    cells = []
     if args.max_tn is not None:
         if args.t is not None or args.n is not None or args.w is not None:
             raise ValueError("give either --max-tn or a single --t/--n/--w cell, not both")
         if args.max_tn < 2:
             raise ValueError(f"--max-tn must be at least 2, got {args.max_tn}")
-        for t in range(2, args.max_tn + 1):
-            for n in range(1, args.max_tn + 1):
-                for w in range(t):
-                    cells.append(ParamSet(t, n, w))
+        top = args.max_tn + 1
+        cells = [ParamSet(t, n, w) for t in range(2, top) for n in range(1, top) for w in range(t)]
     else:
         if args.t is None or args.n is None or args.w is None:
             raise ValueError("--t, --n and --w must all be given (or use --max-tn)")
-        cells.append(ParamSet(args.t, args.n, args.w))
+        cells = [ParamSet(args.t, args.n, args.w)]
 
     divergent = 0
     for params in cells:
@@ -293,13 +287,20 @@ def cmd_conjecture(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the cell flags and --engine, shared by generate, decode and verify
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--t", type=int, help="alphabet size")
+    cell.add_argument("--n", type=int, help="window length")
+    cell.add_argument("--w", type=int, help="weight bound")
+    for kind, enc in ENCODINGS.items():
+        cell.add_argument(f"--{kind}", nargs=2, type=int, metavar=("N", "K"), help=enc.help)
+    cell.add_argument("--engine", choices=ENGINES, default="grandmama")
+
     parser = _OneLineParser(prog="bwcycles",
                             description="universal cycles for weight-bounded words")
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_OneLineParser)
 
-    g = sub.add_parser("generate", help="emit a universal cycle")
-    _add_cell_flags(g)
-    g.add_argument("--engine", choices=ENGINES, default="grandmama")
+    g = sub.add_parser("generate", parents=[cell], help="emit a universal cycle")
     g.add_argument("--format", choices=("compact", "delimited", "json"), default="delimited")
     g.add_argument("--limit", type=int, default=None, help="stop after this many symbols")
     g.add_argument("--seed-window", default=None,
@@ -307,16 +308,13 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--stats", action="store_true", help="print generator counters to stderr")
     g.set_defaults(func=cmd_generate)
 
-    d = sub.add_parser("decode", help="decode one cyclic window to its object")
-    _add_cell_flags(d)
-    d.add_argument("--engine", choices=ENGINES, default="grandmama")
+    d = sub.add_parser("decode", parents=[cell], help="decode one cyclic window to its object")
     d.add_argument("--position", type=int, required=True)
     d.add_argument("--seed-window", default=None)
     d.set_defaults(func=cmd_decode)
 
-    v = sub.add_parser("verify", help="brute-force check a cycle against its universe")
-    _add_cell_flags(v)
-    v.add_argument("--engine", choices=ENGINES, default="grandmama")
+    v = sub.add_parser("verify", parents=[cell],
+                       help="brute-force check a cycle against its universe")
     v.add_argument("--against", choices=("words", "fixed-weight", *ENCODINGS),
                    default=None, help="universe to check (defaults to the parameter kind)")
     v.add_argument("--sequence", default=None,
@@ -328,17 +326,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("tree", help="dump a cycle-joining tree as DOT or JSON")
     tr.add_argument("--kind", choices=("pcr", "msr"), required=True)
-    tr.add_argument("--t", type=int, required=True)
-    tr.add_argument("--n", type=int, required=True)
-    tr.add_argument("--w", type=int, required=True)
+    for flag in ("--t", "--n", "--w"):
+        tr.add_argument(flag, type=int, required=True)
     tr.add_argument("--format", choices=("dot", "json"), default="dot")
     tr.add_argument("--max-nodes", type=int, default=10**6)
     tr.set_defaults(func=cmd_tree)
 
     c = sub.add_parser("conjecture", help="compare the register engine against reverse colex")
-    c.add_argument("--t", type=int)
-    c.add_argument("--n", type=int)
-    c.add_argument("--w", type=int)
+    for flag in ("--t", "--n", "--w"):
+        c.add_argument(flag, type=int)
     c.add_argument("--max-tn", type=int, default=None,
                    help="sweep all cells with t, n up to this bound and w < t")
     c.set_defaults(func=cmd_conjecture)
@@ -346,10 +342,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: a long-lived process calls main many times, and each call only parses
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

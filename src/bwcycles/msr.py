@@ -161,7 +161,7 @@ def _msr_tree_walk(params, stats, after=None):
             fr[3] = k + 1
             j = f - 1 + k
             d = j + 1
-            s = a[d] if 0 <= j and d < N else 0
+            s = a[d] if d < N else 0
             if not s:
                 continue
             if s == 1:

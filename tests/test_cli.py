@@ -182,7 +182,46 @@ def test_word_from_string_reads_what_the_cli_reads(capsys):
 def test_unknown_flag_and_help(capsys):
     code, _, err = run(capsys, "generate", "--frobnicate")
     assert code == 2 and err.startswith("error:")
-    assert main(["--help"]) == 0
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: bwcycles [-h] ")
+    for name in ("generate", "decode", "verify", "tree", "conjecture"):
+        code, out, err = run(capsys, name, "--help")
+        assert (code, err) == (0, ""), name
+        assert out.startswith(f"usage: bwcycles {name} "), name
+
+
+def test_one_process_answers_many_calls_alike(capsys, monkeypatch):
+    # a long-lived process calls main many times, as the bench does: every call
+    # parses with the parser built at import and answers as its first run did
+    cell = ("--t", "5", "--n", "3", "--w", "4")
+    argvs = [("generate", *cell, "--format", fmt, "--seed-window", "0,1,3")
+             for fmt in FORMATS]
+    argvs += [
+        ("generate", *cell, "--limit", "7", "--format", "compact"),
+        ("generate", "--subsets", "6", "3", "--engine", "msr", "--stats"),
+        ("decode", *cell, "--position", "5"),
+        ("decode", "--multisets-freq", "4", "4", "--position", "3", "--seed-window", "0,4,0"),
+        ("verify", *cell, "--engine", "msr"),
+        ("verify", "--t", "2", "--n", "2", "--w", "2", "--sequence", "0010"),
+        ("tree", "--kind", "pcr", *cell),
+        ("tree", "--kind", "msr", *cell, "--format", "json"),
+        ("conjecture", *cell),
+        ("generate", "--t", "3", "--n", "3"),
+        ("verify", "--frobnicate"),
+        *((name, "--help") for name in ("generate", "decode", "verify", "tree", "conjecture")),
+    ]
+    first = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in first].count(1) == 1
+    assert [code for code, _, _ in first].count(2) == 2
+
+    def no_new_parser(self, *args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", no_new_parser)
+    for argv, got in reversed(list(zip(argvs, first))):
+        assert run(capsys, *argv) == got, argv
+    for argv, got in zip(argvs, first):
+        assert run(capsys, *argv) == got, argv
 
 
 def test_decode(capsys):
@@ -226,6 +265,18 @@ def test_verify_user_sequence(capsys):
                          "--against", "fixed-weight", "--sequence", "0112")
     assert (code, out, err) == (
         2, "", "error: w = t expansion needs the all-zero window in the cycle\n")
+
+
+def test_verify_refuses_a_sequence_with_a_seed_window(capsys):
+    # a given sequence has no start to choose: the pair is refused before any work,
+    # whether the sequence would pass or fail, and whatever the cell
+    for cell, sequence in [(("--t", "2", "--n", "2", "--w", "2"), "0011"),
+                           (("--t", "2", "--n", "2", "--w", "2"), "0010"),
+                           (("--subsets", "5", "3"), "1112122113")]:
+        code, out, err = run(capsys, "verify", *cell, "--sequence", sequence,
+                             "--seed-window", "0,1")
+        assert (code, out, err) == (
+            2, "", "error: give either --sequence or --seed-window, not both\n"), cell
 
 
 def test_verify_usage_errors(capsys):
@@ -665,14 +716,18 @@ def test_seeded_output_matches_the_successor_rules(capsys, monkeypatch):
         assert run(capsys, *argv) == got, argv
 
 
-def test_generate_into_closed_pipe_exits_quietly():
-    """A reader that stops early (``| head -c 20``) is not an error."""
+def _bwcycles_process(*argv):
+    """``python -m bwcycles`` on this checkout, with stdout and stderr piped."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    gen = subprocess.Popen(
-        [sys.executable, "-m", "bwcycles", "generate", "--t", "4", "--n", "12", "--w", "19",
-         "--format", "compact"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    return subprocess.Popen([sys.executable, "-m", "bwcycles", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+def test_generate_into_closed_pipe_exits_quietly():
+    """A reader that stops early (``| head -c 20``) is not an error."""
+    gen = _bwcycles_process("generate", "--t", "4", "--n", "12", "--w", "19",
+                            "--format", "compact")
     head = subprocess.run(["head", "-c", "20"], stdin=gen.stdout, capture_output=True, timeout=60)
     gen.stdout.close()
     err = gen.stderr.read()
@@ -681,3 +736,16 @@ def test_generate_into_closed_pipe_exits_quietly():
     assert err == b""
     prefix = islice(chain.from_iterable(iter_concat_prefixes(ParamSet(4, 12, 19))), 20)
     assert head.stdout == "".join(map(str, prefix)).encode()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_every_format_exits_quietly_when_its_reader_closes(capsys, fmt):
+    argv = ("generate", "--t", "4", "--n", "10", "--w", "15", "--format", fmt)
+    gen = _bwcycles_process(*argv)
+    head = gen.stdout.read(100)
+    gen.stdout.close()
+    err = gen.stderr.read()
+    gen.stderr.close()
+    assert (gen.wait(timeout=60), err) == (0, b"")
+    _, out, _ = run(capsys, *argv)
+    assert len(out) > 10**5 and head == out[:100].encode()

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -364,6 +365,16 @@ def test_encoding_table_matches_oracle():
                 shifted = {tuple(s + enc.shift for s in word) for word in words}
                 assert shifted == set(universe), (kind, n, k)
         assert accepted >= 28, kind
+
+
+def test_codec_refusals_carry_their_own_messages():
+    with pytest.raises(ValueError, match=r"^frequency words need a ground set with n >= 2$"):
+        multiset_to_freq(CombObject("multiset", 1, 2, (1, 1)))
+    with pytest.raises(ValueError, match=r"^multiset_to_diff takes a multiset$"):
+        multiset_to_diff(CombObject("subset", 3, 2, (1, 2)))
+    foreign = replace(ucycle_subsets(5, 3), scheme="bogus")
+    with pytest.raises(ValueError, match=r"^unknown scheme 'bogus'$"):
+        decode_window(foreign, 0)
 
 
 def test_decode_window_examples():
