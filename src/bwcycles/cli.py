@@ -2,8 +2,10 @@
 
 Generation streams the engine's chunks straight to stdout, rendered and
 written a batch at a time, so memory stays O(n + batch) however long the cycle;
-decode reads the same stream only up to the end of its window, and verify feeds
-it to the oracle, which keeps n-1 of its symbols. A whole cycle is held only by
+decode reads the same stream only up to the end of its window, or, for a window
+in the second half of the unseeded colex cycle, the reversed colex walk from the
+cycle's end down to it, keeping O(n) symbols; verify feeds the stream to the
+oracle, which keeps n-1 of its symbols. A whole cycle is held only by
 verify --sequence and verify --against fixed-weight.
 Encoded kinds are read from ``combmaps.ENCODINGS`` and every engine starts
 through ``combmaps.engine_chunks``. A seed window is checked before anything
@@ -32,7 +34,7 @@ from typing import Iterator, Sequence
 from bwcycles.combmaps import (ENCODINGS, ENGINES, Encoding, engine_chunks, fixed_weight_expand,
                                fixed_weight_size)
 from bwcycles.cyclejoin import FeedbackKind, build_tree
-from bwcycles.grandmama import GenStats, UCycle
+from bwcycles.grandmama import GenStats, UCycle, _concat_walk_reversed
 from bwcycles.msr import check_conjecture
 from bwcycles.oracle import _check_cap, enumerate_universe, verify_listing, verify_stream
 from bwcycles.words import ParamSet, parse_symbols
@@ -153,7 +155,7 @@ def cmd_generate(args) -> int:
     p, limit, length = cell.params, args.limit, cell.params.universe_size
     # a successor engine stops at the last kept symbol, so its counters match the output
     steps = None if limit is None or limit >= length else max(limit - p.n, 0)
-    tag, chunks = engine_chunks(p, args.engine, seed, steps, stats)
+    tag, chunks = engine_chunks(p, args.engine or "grandmama", seed, steps, stats)
     emit_len = length if limit is None else min(length, limit)
     if limit is not None:
         chunks = _take(chunks, limit)
@@ -183,17 +185,39 @@ def cmd_generate(args) -> int:
 # --- decode / verify ------------------------------------------------------
 
 
+def _window_from_end(params: ParamSet, head: list[int], position: int) -> list[int]:
+    """The window at ``position`` of the colex cycle, read by the reversed walk.
+
+    Chunk lengths count down from the cycle's length. Only the symbols after
+    the current chunk that cover n are kept, and ``head``, the cycle's first n
+    symbols, ends a window that wraps (the cycle is at least n long).
+    """
+    n, end, after = params.n, params.universe_size, []
+    for chunk in _concat_walk_reversed(params):
+        end -= len(chunk)
+        if end <= position:
+            return (chunk[position - end:] + after + head)[:n]
+        after = (chunk + after)[:n]
+
+
 def cmd_decode(args) -> int:
     cell = _resolve_cell(args)
-    _, chunks = engine_chunks(cell.params, args.engine, _resolve_seed(args, cell))
+    seed = _resolve_seed(args, cell)
+    engine = args.engine or "grandmama"
+    _, chunks = engine_chunks(cell.params, engine, seed)
     position, length, n = args.position, cell.params.universe_size, cell.params.n
     if not 0 <= position < length:
         raise ValueError(f"position {position} outside 0..{length - 1}")
-    # read only up to the window's end; the first n symbols continue a cycle that
-    # ends inside the window (all of them, when the cycle is shorter than n)
+    # the first n symbols continue a cycle that ends inside the window (all of
+    # them, when the cycle is shorter than n)
     symbols = chain.from_iterable(chunks)
     head = list(islice(symbols, n))
-    window = list(islice(chain(head, symbols, itertools.cycle(head)), position, position + n))
+    if engine == "grandmama" and seed is None and n <= length <= 2 * position:
+        # the colex cycle's second half is nearer its end
+        window = _window_from_end(cell.params, head, position)
+    else:
+        # read only up to the window's end
+        window = list(islice(chain(head, symbols, itertools.cycle(head)), position, position + n))
     if cell.enc is None:
         payload = {"kind": "word", "t": cell.params.t, "symbols": window}
     else:
@@ -203,8 +227,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.sequence is not None and args.seed_window is not None:
-        raise ValueError("give either --sequence or --seed-window, not both")
+    if args.sequence is not None:
+        for flag, value in (("--seed-window", args.seed_window), ("--engine", args.engine)):
+            if value is not None:
+                raise ValueError(f"give either --sequence or {flag}, not both")
     cell = _resolve_cell(args)
     fits = ("words", "fixed-weight") if cell.enc is None else (cell.kind,)
     against = args.against or fits[0]
@@ -218,7 +244,7 @@ def cmd_verify(args) -> int:
     if args.sequence is not None:
         tag, chunks = "user", [parse_symbols(args.sequence)]
     else:
-        tag, chunks = engine_chunks(p, args.engine, _resolve_seed(args, cell))
+        tag, chunks = engine_chunks(p, args.engine or "grandmama", _resolve_seed(args, cell))
         if cell.shift:
             chunks = ([s + cell.shift for s in chunk] for chunk in chunks)
 
@@ -294,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cell.add_argument("--w", type=int, help="weight bound")
     for kind, enc in ENCODINGS.items():
         cell.add_argument(f"--{kind}", nargs=2, type=int, metavar=("N", "K"), help=enc.help)
-    cell.add_argument("--engine", choices=ENGINES, default="grandmama")
+    # None: not given, so verify can refuse it beside --sequence; the rest run grandmama
+    cell.add_argument("--engine", choices=ENGINES, default=None)
 
     parser = _OneLineParser(prog="bwcycles",
                             description="universal cycles for weight-bounded words")

@@ -3,13 +3,15 @@
 The concatenation engine walks the first-nonzero parent tree of necklaces
 iteratively, visiting necklaces in colexicographic order and emitting each one's
 aperiodic prefix. It decides each child when it visits it, most of them by their
-zero runs, and tests only the rest. The successor engine produces the identical
-cyclic sequence one symbol at a time from any starting window, paying O(n) per
-symbol and at most one necklace test. One per-window function makes that
-decision for it and for the missing-symbol rule of ``bwcycles.msr``; only the
-lead symbol and the tested word differ. The rule calls and the streams call it
-once per symbol, and ``exhaustive=True`` swaps in a small brute-force twin that
-tests every candidate from the top.
+zero runs, and tests only the rest. Its mirror, ``_concat_walk_reversed``, makes
+the same decisions in the opposite order and yields the chunks from the cycle's
+end, so a window in the cycle's second half is reached from there. The
+successor engine produces the identical cyclic sequence one symbol at a time
+from any starting window, paying O(n) per symbol and at most one necklace test.
+One per-window function makes that decision for it and for the missing-symbol
+rule of ``bwcycles.msr``; only the lead symbol and the tested word differ. The
+rule calls and the streams call it once per symbol, and ``exhaustive=True``
+swaps in a small brute-force twin that tests every candidate from the top.
 
 Both are instrumented: ``GenStats`` counts emitted symbols, necklace tests, and
 inner-loop iterations of the necklace test (each iteration is at most two
@@ -225,6 +227,70 @@ def _concat_walk(params, stats, after=None):
     finally:
         if stats is not None:
             stats.add(symbols=symbols, tests=tests, comparisons=iters)
+
+
+def _concat_walk_reversed(params):
+    """``iter_concat_prefixes``' chunks in reverse order, from the cycle's end.
+
+    The same walk, mirrored: it visits each node's children by decreasing
+    position, the probe first and then the scan children from i-1 down to lo,
+    and yields a node's chunk after its subtree. Each child's decision reads
+    only its parent's frame and its own position, so the order changes none of
+    them. A frame adds lo and the node's own period to the forward walk's five
+    ints; nothing is counted.
+    """
+    t, n, w = params.t, params.n, params.w_eff
+    tmax = t - 1
+    a = [0] * n
+    if w >= 2:
+        a[n - 1] = 1
+        # [change index, next child's position, child weight, L, F, lo, period]
+        fr = [n - 1, n - 1, 2, 0, n, (n - 1) // 2, n]
+        stack = [fr]
+        while True:
+            i, j, wt, L, F, lo, q = fr
+            if j < lo:
+                # the node's chunk follows its subtree
+                yield a[:q]
+                a[i] -= 1
+                stack.pop()
+                if not stack:
+                    break
+                fr = stack[-1]
+                continue
+            fr[1] = j - 1
+            if j < i:
+                r = i - 1 - j
+                if r > L:
+                    L, F = r, i
+                elif r == L and r and a[i:] < a[F:]:
+                    F = i
+            elif a[i] == tmax:
+                continue
+            a[j] += 1
+            p = n
+            if j == L:
+                g = a[F:]
+                c = a[j:j + n - F]
+                if c == g:
+                    p = _period_count(a, n)[0]
+                elif c > g:
+                    p = 0
+                if not p:
+                    a[j] -= 1
+                    continue
+            if wt < w:
+                lo = j // 2
+                if L > lo:
+                    lo = L
+                fr = [j, j, wt + 1, L, F, lo, p]
+                stack.append(fr)
+            else:
+                yield a[:p]
+                a[j] -= 1
+    elif w == 1:
+        yield [0] * (n - 1) + [1]
+    yield [0]
 
 
 def generate_concat(params: ParamSet, stats: GenStats | None = None) -> UCycle:

@@ -279,6 +279,17 @@ def test_verify_refuses_a_sequence_with_a_seed_window(capsys):
             2, "", "error: give either --sequence or --seed-window, not both\n"), cell
 
 
+def test_verify_refuses_a_sequence_with_an_engine(capsys):
+    # a given sequence runs no engine, so an explicit --engine is refused before any
+    # work, even the engine the command would otherwise run and one that refuses the cell
+    for engine in ("grandmama", "msr", "reverse-colex"):
+        for sequence in ("0011", "0010"):
+            code, out, err = run(capsys, "verify", "--t", "2", "--n", "2", "--w", "2",
+                                 "--sequence", sequence, "--engine", engine)
+            assert (code, out, err) == (
+                2, "", "error: give either --sequence or --engine, not both\n"), engine
+
+
 def test_verify_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--subsets", "6", "3", "--against", "words")
     assert code == 2 and err.startswith("error:")
@@ -633,6 +644,57 @@ def test_decode_matches_library_at_every_position(capsys):
                 code, out, err = run(capsys, *argv, str(position))
                 expected = f"error: position {position} outside 0..{last}\n"
                 assert (code, out, err) == (2, "", expected), (argv, position)
+
+
+def _counting_walks(monkeypatch):
+    """Wrap the colex walk and its reversal so every chunk they yield is counted:
+    a list holding the symbols drawn so far."""
+    drawn = [0]
+
+    def counting(walk):
+        def counted(*args):
+            for chunk in walk(*args):
+                drawn[0] += len(chunk)
+                yield chunk
+        return counted
+
+    monkeypatch.setattr(grandmama, "_concat_walk", counting(grandmama._concat_walk))
+    monkeypatch.setattr(cli, "_concat_walk_reversed", counting(cli._concat_walk_reversed))
+    return drawn
+
+
+def _decoded_word(capsys, p, position):
+    code, out, err = run(capsys, "decode", "--t", str(p.t), "--n", str(p.n), "--w", str(p.w),
+                         "--position", str(position))
+    assert (code, err) == (0, ""), (p, position)
+    return tuple(json.loads(out)["symbols"])
+
+
+def test_decode_draws_symbols_from_the_nearer_end(capsys, monkeypatch):
+    # unseeded grandmama reads its window from whichever end of the cycle is nearer,
+    # with the head's n symbols and two partial chunks on top
+    p = ParamSet(4, 10, 15)
+    cycle, length, n = generate_concat(p), p.universe_size, p.n
+    drawn = _counting_walks(monkeypatch)
+    half = length // 2
+    for position in (0, half - 1, half, half + 1, length - n, length - 1):
+        drawn[0] = 0
+        assert _decoded_word(capsys, p, position) == cycle.window(position), position
+        assert drawn[0] <= min(position, length - position) + 3 * n, position
+
+
+def test_decode_from_the_end_across_short_chunks_and_into_the_head(capsys, monkeypatch):
+    # every window of the second half, which decode reads from the end: these cells'
+    # chunks include periodic necklaces, shorter than n, so a window can span several
+    # chunks (three at position 291 of (3,6,6), whose third is not the head's zeros),
+    # and the last n windows end in the cycle's first symbols
+    drawn = _counting_walks(monkeypatch)
+    for p in (ParamSet(2, 6, 6), ParamSet(3, 4, 4), ParamSet(3, 6, 6)):
+        cycle, length, n = generate_concat(p), p.universe_size, p.n
+        for position in range(length // 2, length):
+            drawn[0] = 0
+            assert _decoded_word(capsys, p, position) == cycle.window(position), (p, position)
+            assert drawn[0] <= length - position + 3 * n, (p, position)
 
 
 def _h2_dispatch(params, engine, start=None, steps=None, stats=None):

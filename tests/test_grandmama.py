@@ -103,6 +103,24 @@ def test_walks_match_brute_force_chunk_for_chunk_on_a_wide_grid():
             assert list(iter_reverse_colex_prefixes(ParamSet(t, n, w))) == expected, (t, n, w)
 
 
+@pytest.mark.slow
+def test_reversed_walk_yields_the_walks_chunks_in_reverse():
+    # every w, and one past n(t-1), where the weight bound clamps
+    for t, n in WIDE_GRID:
+        for w in range(n * (t - 1) + 2):
+            p = ParamSet(t, n, w)
+            backwards = list(grandmama._concat_walk_reversed(p))
+            assert backwards[::-1] == list(iter_concat_prefixes(p)), (t, n, w)
+
+
+@pytest.mark.slow
+def test_reversed_walk_on_the_paper_cells():
+    for t, n, w in [(1000, 2, 999), (198, 3, 197), (4, 10, 15)]:
+        p = ParamSet(t, n, w)
+        backwards = list(grandmama._concat_walk_reversed(p))
+        assert backwards[::-1] == list(iter_concat_prefixes(p)), (t, n, w)
+
+
 def _chunk_ends(chunks):
     """(the cycle, {position of each chunk's last symbol: that chunk})."""
     cycle, ends = [], {}
@@ -142,13 +160,15 @@ SMALL_ALPHABET_GRID = [(2, n) for n in range(1, 13)] + [(3, n) for n in range(1,
 
 def test_walks_match_brute_force_on_small_alphabets_through_every_branch(monkeypatch):
     # most children are decided by their zero runs; the ones left are tested,
-    # and each kind of tested candidate must turn up on this grid
-    tested = []
+    # and each kind of tested candidate must turn up on this grid, in the colex
+    # walk and in its reversal
+    tested, reversed_tested = [], []
+    sink = [tested]  # the list the walk running now records into
     real = grandmama._period_count
 
     def recording(a, n):
         p, it = real(a, n)
-        tested.append((tuple(a[:n]), p))
+        sink[0].append((tuple(a[:n]), p))
         return p, it
 
     msr_tested = set()
@@ -159,20 +179,26 @@ def test_walks_match_brute_force_on_small_alphabets_through_every_branch(monkeyp
 
     monkeypatch.setattr(grandmama, "_period_count", recording)
     monkeypatch.setattr(msr, "_period_count", msr_recording)
-    outcomes, msr_outcomes = set(), set()
+    outcomes, reversed_outcomes, msr_outcomes = set(), set(), set()
     for t, n in SMALL_ALPHABET_GRID:
         colex = sorted(_brute_necklaces(t, n, n * (t - 1)), key=_colex)
         for w in range(n * (t - 1) + 1):
             expected = [list(word[:p]) for word, p in colex if sum(word) <= w]
+            sink[0] = tested
             assert list(iter_concat_prefixes(ParamSet(t, n, w))) == expected, (t, n, w)
+            sink[0] = reversed_tested
+            assert list(grandmama._concat_walk_reversed(ParamSet(t, n, w))) == expected[::-1], \
+                (t, n, w)
         # the reverse walk: length n+1, weight exactly w < t
         reverse = sorted(_brute_necklaces(t, n + 1, t - 1), key=_colex, reverse=True)
         for w in range(t):
             expected = [list(word[:p]) for word, p in reverse if sum(word) == w]
             assert list(iter_reverse_colex_prefixes(ParamSet(t, n, w))) == expected, (t, n, w)
         outcomes |= _tie_outcomes(colex, t, _concat_candidates, {word for word, _ in tested})
+        reversed_outcomes |= _tie_outcomes(colex, t, _concat_candidates,
+                                           {word for word, _ in reversed_tested})
         msr_outcomes |= _tie_outcomes(reverse, t, _msr_candidates, msr_tested)
-    assert outcomes == {"below", "above", "equal"}
+    assert outcomes == reversed_outcomes == {"below", "above", "equal"}
     # the reverse walk's weights stay below t <= 3 here, which leaves no room for a
     # tie that is not periodic; test_msr_walk_ties_take_every_follower_outcome has them
     assert msr_outcomes == {"equal"}
@@ -180,14 +206,17 @@ def test_walks_match_brute_force_on_small_alphabets_through_every_branch(monkeyp
     def leading_zeros(word):
         return next((k for k, s in enumerate(word) if s), len(word))
 
-    # the probe at change index 0: the bumped first symbol is at least 2
-    assert any(word[0] >= 2 for word, _ in tested)
-    # the probe with a zero run inside as long as the leading one (L == i >= 1)
-    assert any(0 < (z := leading_zeros(word)) < len(word) and word[z] >= 2 for word, _ in tested)
-    # the scan child 0^j 1 0^j 1.. with i == 2j+1 and a_i == 1, periodic and not
-    for periodic in (True, False):
-        assert any(0 < (j := leading_zeros(word)) and word[j:2 * j + 2] == (1,) + (0,) * j + (1,)
-                   and (0 < p < len(word)) == periodic for word, p in tested), periodic
+    for found in (tested, reversed_tested):
+        # the probe at change index 0: the bumped first symbol is at least 2
+        assert any(word[0] >= 2 for word, _ in found)
+        # the probe with a zero run inside as long as the leading one (L == i >= 1)
+        assert any(0 < (z := leading_zeros(word)) < len(word) and word[z] >= 2
+                   for word, _ in found)
+        # the scan child 0^j 1 0^j 1.. with i == 2j+1 and a_i == 1, periodic and not
+        for periodic in (True, False):
+            assert any(0 < (j := leading_zeros(word))
+                       and word[j:2 * j + 2] == (1,) + (0,) * j + (1,)
+                       and (0 < p < len(word)) == periodic for word, p in found), periodic
 
 
 def _follower_outcome(word):
