@@ -2,11 +2,10 @@
 
 Generation streams the engine's chunks straight to stdout, rendered and
 written a batch at a time, so memory stays O(n + batch) however long the cycle;
-decode reads the same stream only up to the end of its window, or, for a window
-in the second half of the unseeded colex cycle, the reversed colex walk from the
-cycle's end down to it, keeping O(n) symbols; verify feeds the stream to the
-oracle, which keeps n-1 of its symbols. A whole cycle is held only by
-verify --sequence and verify --against fixed-weight.
+decode reads its one window through ``combmaps.window_at``, which keeps O(n)
+symbols; verify feeds the stream to the oracle, which keeps n-1 of its
+symbols. A whole cycle is held only by verify --sequence and verify --against
+fixed-weight.
 Encoded kinds are read from ``combmaps.ENCODINGS`` and every engine starts
 through ``combmaps.engine_chunks``. A seed window is checked before anything
 is written, and --stats reports the same counters as the library run of the
@@ -23,18 +22,17 @@ or by the library layer that owns the rule), and every error prints a single
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterator, Sequence
 
 from bwcycles.combmaps import (ENCODINGS, ENGINES, Encoding, engine_chunks, fixed_weight_expand,
-                               fixed_weight_size)
+                               fixed_weight_size, window_at)
 from bwcycles.cyclejoin import FeedbackKind, build_tree
-from bwcycles.grandmama import GenStats, UCycle, _concat_walk_reversed
+from bwcycles.grandmama import GenStats, UCycle
 from bwcycles.msr import check_conjecture
 from bwcycles.oracle import _check_cap, enumerate_universe, verify_listing, verify_stream
 from bwcycles.words import ParamSet, parse_symbols
@@ -185,39 +183,10 @@ def cmd_generate(args) -> int:
 # --- decode / verify ------------------------------------------------------
 
 
-def _window_from_end(params: ParamSet, head: list[int], position: int) -> list[int]:
-    """The window at ``position`` of the colex cycle, read by the reversed walk.
-
-    Chunk lengths count down from the cycle's length. Only the symbols after
-    the current chunk that cover n are kept, and ``head``, the cycle's first n
-    symbols, ends a window that wraps (the cycle is at least n long).
-    """
-    n, end, after = params.n, params.universe_size, []
-    for chunk in _concat_walk_reversed(params):
-        end -= len(chunk)
-        if end <= position:
-            return (chunk[position - end:] + after + head)[:n]
-        after = (chunk + after)[:n]
-
-
 def cmd_decode(args) -> int:
     cell = _resolve_cell(args)
     seed = _resolve_seed(args, cell)
-    engine = args.engine or "grandmama"
-    _, chunks = engine_chunks(cell.params, engine, seed)
-    position, length, n = args.position, cell.params.universe_size, cell.params.n
-    if not 0 <= position < length:
-        raise ValueError(f"position {position} outside 0..{length - 1}")
-    # the first n symbols continue a cycle that ends inside the window (all of
-    # them, when the cycle is shorter than n)
-    symbols = chain.from_iterable(chunks)
-    head = list(islice(symbols, n))
-    if engine == "grandmama" and seed is None and n <= length <= 2 * position:
-        # the colex cycle's second half is nearer its end
-        window = _window_from_end(cell.params, head, position)
-    else:
-        # read only up to the window's end
-        window = list(islice(chain(head, symbols, itertools.cycle(head)), position, position + n))
+    window = window_at(cell.params, args.engine or "grandmama", args.position, seed)
     if cell.enc is None:
         payload = {"kind": "word", "t": cell.params.t, "symbols": window}
     else:

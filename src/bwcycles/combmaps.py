@@ -15,8 +15,9 @@ msr yield universal cycles for k-subsets and k-multisets directly. For subsets
 the engine alphabet {0..n-k} is shifted up by one on output.
 
 ``ENCODINGS`` holds each encoding's facts in one row, and ``engine_chunks``
-is the one engine dispatch; the ``ucycle_*`` makers, ``decode_window`` and the
-CLI read both. The oracle enumerates its universes on its own. ``CombObject``
+is the one engine dispatch; the ``ucycle_*`` makers and the CLI read both, and
+``window_at``, the one reader of a single window of a streamed cycle, starts
+its engine there. The oracle enumerates its universes on its own. ``CombObject``
 is the one check of a subset or multiset, so the decoders are bare: partial
 sums, or runs of each value by its frequency; ``fixed_weight_size`` owns the
 fixed-weight expansion's w <= t rule.
@@ -25,11 +26,11 @@ fixed-weight expansion's w <= t rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, cycle, islice, repeat
 from typing import Callable, Iterator, Sequence
 
-from bwcycles.grandmama import (GenStats, UCycle, _concat_walk, _resumed_chunks,
-                                _successor_start, iter_concat_prefixes)
+from bwcycles.grandmama import (GenStats, UCycle, _concat_walk, _concat_walk_reversed,
+                                _resumed_chunks, _successor_start, iter_concat_prefixes)
 from bwcycles.msr import _msr_tree_walk, _require_small_weight, iter_reverse_colex_prefixes
 from bwcycles.words import ParamSet, Word, _symbols, count_bounded_words
 
@@ -42,6 +43,7 @@ __all__ = [
     "Encoding",
     "ENCODINGS",
     "engine_chunks",
+    "window_at",
     "subset_to_diff",
     "diff_to_subset",
     "multiset_to_freq",
@@ -184,6 +186,35 @@ def engine_chunks(
     if start is not None:
         raise ValueError("reverse-colex takes no start window")
     return engine, iter_reverse_colex_prefixes(params, stats)
+
+
+def window_at(params: ParamSet, engine: str, position: int, start: Sequence[int] | None = None) -> list[int]:
+    """A list of the n engine-alphabet symbols at ``position`` of the cycle that
+    ``engine_chunks(params, engine, start)`` streams, wrapping past its end.
+
+    The engine starts first, so its refusals come before the position's. The
+    stream is read only up to the window's end, except that a window in the
+    second half of the unseeded colex cycle is read by the reversed walk,
+    counting chunk lengths down from the cycle's length and keeping only the
+    chunks that start within n symbols after ``position``. Either way O(n)
+    symbols are held, and the cycle's first n symbols end a window that wraps.
+    """
+    symbols = chain.from_iterable(engine_chunks(params, engine, start)[1])
+    n, length = params.n, params.universe_size
+    if not 0 <= position < length:
+        raise ValueError(f"position {position} outside 0..{length - 1}")
+    # all of the cycle when it is shorter than n
+    head = list(islice(symbols, n))
+    if engine == "grandmama" and start is None and n <= length <= 2 * position:
+        # the colex cycle's second half is nearer its end
+        end, after = length, []
+        for chunk in _concat_walk_reversed(params):
+            end -= len(chunk)
+            if end <= position:
+                return list(islice(chain(chunk[position - end:], *reversed(after), head), n))
+            if end < position + n:
+                after.append(chunk)
+    return list(islice(chain(head, symbols, cycle(head)), position, position + n))
 
 
 @dataclass(frozen=True)

@@ -659,7 +659,8 @@ def _counting_walks(monkeypatch):
         return counted
 
     monkeypatch.setattr(grandmama, "_concat_walk", counting(grandmama._concat_walk))
-    monkeypatch.setattr(cli, "_concat_walk_reversed", counting(cli._concat_walk_reversed))
+    monkeypatch.setattr(combmaps, "_concat_walk_reversed",
+                        counting(combmaps._concat_walk_reversed))
     return drawn
 
 
@@ -729,9 +730,14 @@ def test_unseeded_msr_output_matches_h2(capsys, monkeypatch):
                   for position in range(comb(n, k) if kind == "subsets" else comb(n + k - 1, k))]
     shipped = [run(capsys, *argv) for argv in argvs]
     assert sum(code == 0 for code, _, _ in shipped) > 3000
+    # decode starts its engine in combmaps.window_at, the other commands in cli
     monkeypatch.setattr(cli, "engine_chunks", _h2_dispatch)
+    monkeypatch.setattr(combmaps, "engine_chunks", _h2_dispatch)
     for argv, got in zip(argvs, shipped):
         assert run(capsys, *argv) == got, argv
+
+
+_ENGINE_CHUNKS = combmaps.engine_chunks  # the shipped dispatch, kept while it is patched
 
 
 def _successor_dispatch(params, engine, start=None, steps=None, stats=None):
@@ -741,7 +747,7 @@ def _successor_dispatch(params, engine, start=None, steps=None, stats=None):
         return "grandmama-successor", grandmama.iter_successor_chunks(params, start, steps, stats)
     if start is not None and engine == "msr":
         return "msr", msr.iter_msr_chunks(params, start, steps, stats)
-    return combmaps.engine_chunks(params, engine, start, steps, stats)
+    return _ENGINE_CHUNKS(params, engine, start, steps, stats)
 
 
 @pytest.mark.slow
@@ -774,6 +780,7 @@ def test_seeded_output_matches_the_successor_rules(capsys, monkeypatch):
     assert sum(code == 0 for code, _, _ in shipped) > 3000
     assert sum(code == 2 for code, _, _ in shipped) > 300
     monkeypatch.setattr(cli, "engine_chunks", _successor_dispatch)
+    monkeypatch.setattr(combmaps, "engine_chunks", _successor_dispatch)
     for argv, got in zip(argvs, shipped):
         assert run(capsys, *argv) == got, argv
 

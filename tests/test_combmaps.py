@@ -23,9 +23,11 @@ from bwcycles.combmaps import (
     ucycle_multisets_diff,
     ucycle_multisets_freq,
     ucycle_subsets,
+    window_at,
 )
-from bwcycles.grandmama import UCycle, generate_concat, iter_successor_chunks
-from bwcycles.msr import generate_msr, iter_msr_chunks
+from bwcycles.grandmama import (UCycle, generate_by_successor, generate_concat,
+                                iter_successor_chunks)
+from bwcycles.msr import generate_msr, generate_reverse_colex, iter_msr_chunks
 from bwcycles.oracle import enumerate_universe, verify_universal_cycle
 from bwcycles.words import ParamSet, Word
 
@@ -392,6 +394,61 @@ def test_decode_window_examples():
         decode_window(s1, len(s1))
     with pytest.raises(ValueError):
         decode_window(s1, -1)
+
+
+def _engine_runs(p):
+    """(engine, start, materialised cycle) of each run ``window_at`` reads on cell p:
+    grandmama and msr unseeded and seeded from the window at L/2, and reverse-colex.
+    The references are the concat walk and the successor rules."""
+    concat = generate_concat(p)
+    seed = concat.window(len(concat) // 2)
+    runs = [("grandmama", None, concat), ("grandmama", seed, generate_by_successor(p, seed))]
+    if p.w_eff < p.t:
+        register = generate_msr(p)
+        seed = register.window(len(register) // 2)
+        runs += [("msr", None, register), ("msr", seed, generate_msr(p, seed)),
+                 ("reverse-colex", None, generate_reverse_colex(p))]
+    return runs
+
+
+def test_window_at_reads_the_materialised_cycles_windows():
+    # every position of every cell with t, n <= 4 and w up to n(t-1)+1, which
+    # includes the one-word cycles (t = 1), shorter than n; unseeded grandmama
+    # reads the second half from the cycle's end
+    runs = 0
+    for t in range(1, 5):
+        for n in range(1, 5):
+            for w in range(n * (t - 1) + 2):
+                p = ParamSet(t, n, w)
+                for engine, start, cycle in _engine_runs(p):
+                    assert len(cycle) == p.universe_size, (p, engine, start)
+                    for position in range(len(cycle)):
+                        got = tuple(window_at(p, engine, position, start))
+                        assert got == cycle.window(position), (p, engine, start, position)
+                    runs += 1
+    assert runs == 325
+    # a chain-rich cell: (30, 2, 29), the cell of --subsets 31 2
+    p = ParamSet(30, 2, 29)
+    for engine, cycle in (("grandmama", generate_concat(p)), ("msr", generate_msr(p))):
+        for position in range(len(cycle)):
+            got = tuple(window_at(p, engine, position))
+            assert got == cycle.window(position), (engine, position)
+
+
+def test_window_at_refusals_come_in_the_engines_order():
+    p = ParamSet(3, 3, 2)
+    for position in (-1, p.universe_size):
+        for engine, start in (("grandmama", None), ("grandmama", (0, 0, 1)), ("msr", None),
+                              ("reverse-colex", None)):
+            with pytest.raises(ValueError, match=rf"^position {position} outside 0\.\.9$"):
+                window_at(p, engine, position, start)
+        # the engine's own refusal comes first, whatever the position
+        with pytest.raises(ValueError, match=r"^unknown engine 'bogus'$"):
+            window_at(p, "bogus", position)
+        with pytest.raises(ValueError, match=r"^reverse-colex takes no start window$"):
+            window_at(p, "reverse-colex", position, (0, 0, 0))
+        with pytest.raises(ValueError, match=r"^window length 2 != n = 3$"):
+            window_at(p, "grandmama", position, (0, 0))
 
 
 # --- fixed-weight expansion ----------------------------------------------

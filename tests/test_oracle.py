@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bwcycles import oracle
+from bwcycles.combmaps import engine_chunks, window_at
 from bwcycles.grandmama import UCycle, generate_concat
 from bwcycles.msr import generate_msr
 from bwcycles.oracle import (VerifyReport, enumerate_universe, verify_listing, verify_stream,
@@ -428,6 +429,22 @@ def test_engine_cycles_verify_on_a_wide_grid():
                 for cycle in cycles:
                     report = verify_universal_cycle(cycle, universe)
                     assert report.ok and report.window_count == len(universe), (t, n, w)
+
+
+@pytest.mark.slow
+def test_engines_stream_universal_cycles_on_the_paper_cells():
+    # the cells of --subsets 1000 2 and --subsets 200 3, under every engine, and
+    # seeded from one window in the middle of the colex cycle
+    runs = [(ParamSet(*cell), engine, None) for cell in [(1000, 2, 999), (198, 3, 197)]
+            for engine in ("grandmama", "msr", "reverse-colex")]
+    p = ParamSet(198, 3, 197)
+    seed = window_at(p, "grandmama", p.universe_size // 2)
+    runs += [(p, "grandmama", seed), (p, "msr", seed)]
+    for p, engine, start in runs:
+        _, chunks = engine_chunks(p, engine, start)
+        report = verify_stream(chunks, "bounded_words", t=p.t, n=p.n, w=p.w,
+                               max_universe=p.universe_size)
+        assert report.ok and report.window_count == p.universe_size, (p, engine, start)
 
 
 # --- the streaming core against the same reference, fed in random chunks ---
