@@ -42,6 +42,10 @@ __all__ = ["main"]
 # symbols per render call and write: per-write costs vanish, memory stays small
 RENDER_BATCH = 1 << 16
 
+# the most cycle symbols one conjecture run may compare: --max-tn 13 (37,442,042)
+# fits, a cell or sweep that would take hours does not
+CONJECTURE_MAX_SYMBOLS = 10**8
+
 
 class _OneLineParser(argparse.ArgumentParser):
     def error(self, message):
@@ -266,6 +270,10 @@ def cmd_conjecture(args) -> int:
         if args.t is None or args.n is None or args.w is None:
             raise ValueError("--t, --n and --w must all be given (or use --max-tn)")
         cells = [ParamSet(args.t, args.n, args.w)]
+    total = sum(params.universe_size for params in cells)
+    if total > CONJECTURE_MAX_SYMBOLS:
+        raise ValueError(f"conjecture would compare {total} symbols per engine, "
+                         f"above the cap {CONJECTURE_MAX_SYMBOLS}")
 
     divergent = 0
     for params in cells:

@@ -193,28 +193,42 @@ def window_at(params: ParamSet, engine: str, position: int, start: Sequence[int]
     ``engine_chunks(params, engine, start)`` streams, wrapping past its end.
 
     The engine starts first, so its refusals come before the position's. The
-    stream is read only up to the window's end, except that a window in the
-    second half of the unseeded colex cycle is read by the reversed walk,
-    counting chunk lengths down from the cycle's length and keeping only the
-    chunks that start within n symbols after ``position``. Either way O(n)
+    unseeded colex cycle is read from its nearer end: in its first half the
+    walk passes ``position`` symbols by their chunk lengths and yields from
+    there, in its second half the reversed walk passes the L - position - n
+    symbols after the window the same way, so only the window's chunks are
+    yielded. Any other stream is read up to the window's end. Either way O(n)
     symbols are held, and the cycle's first n symbols end a window that wraps.
     """
-    symbols = chain.from_iterable(engine_chunks(params, engine, start)[1])
+    chunks = engine_chunks(params, engine, start)[1]
     n, length = params.n, params.universe_size
     if not 0 <= position < length:
         raise ValueError(f"position {position} outside 0..{length - 1}")
-    # all of the cycle when it is shorter than n
-    head = list(islice(symbols, n))
-    if engine == "grandmama" and start is None and n <= length <= 2 * position:
-        # the colex cycle's second half is nearer its end
-        end, after = length, []
-        for chunk in _concat_walk_reversed(params):
-            end -= len(chunk)
-            if end <= position:
-                return list(islice(chain(chunk[position - end:], *reversed(after), head), n))
-            if end < position + n:
-                after.append(chunk)
-    return list(islice(chain(head, symbols, cycle(head)), position, position + n))
+    if engine != "grandmama" or start is not None:
+        symbols = chain.from_iterable(chunks)
+        # all of the cycle when it is shorter than n
+        head = list(islice(symbols, n))
+        return list(islice(chain(head, symbols, cycle(head)), position, position + n))
+    window = []
+    if 2 * position < length:
+        for chunk in _concat_walk(params, None, skip=position):
+            window += chunk
+            if len(window) >= n:
+                return window[:n]
+    else:
+        # the symbols from position up to n later, or to the cycle's end
+        end = min(position + n, length)
+        for chunk in _concat_walk_reversed(params, skip=length - end):
+            window[:0] = chunk
+            if len(window) >= end - position:
+                break
+        del window[:len(window) - (end - position)]
+        if len(window) == n:
+            return window
+    # a window that wraps ends in the cycle's first symbols, round as often as a
+    # cycle shorter than n needs
+    return window + list(islice(cycle(chain.from_iterable(_concat_walk(params, None))),
+                                n - len(window)))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ iteratively, visiting necklaces in colexicographic order and emitting each one's
 aperiodic prefix. It decides each child when it visits it, most of them by their
 zero runs, and tests only the rest. Its mirror, ``_concat_walk_reversed``, makes
 the same decisions in the opposite order and yields the chunks from the cycle's
-end, so a window in the cycle's second half is reached from there. The
-successor engine produces the identical cyclic sequence one symbol at a time
-from any starting window, paying O(n) per symbol and at most one necklace test.
+end, so a window in the cycle's second half is reached from there. Either walk
+passes a given count of symbols by their chunk lengths, yielding none of them,
+so only the chunks of the window it seeks are yielded. The successor engine
+produces the identical cyclic sequence one symbol at a time from any starting
+window, paying O(n) per symbol and at most one necklace test.
 One per-window function makes that decision for it and for the missing-symbol
 rule of ``bwcycles.msr``; only the lead symbol and the tested word differ. The
 rule calls and the streams call it once per symbol, and ``exhaustive=True``
@@ -144,10 +146,18 @@ def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Ite
     return _concat_walk(params, stats)
 
 
-def _concat_walk(params, stats, after=None):
+def _concat_walk(params, stats, after=None, skip=0):
     """The walk of ``iter_concat_prefixes``. Given ``after``, a necklace, it takes the
     path's child at each node down to it and yields nothing before it enters
-    ``after``: that chunk comes first, then the rest. At the root, it is the walk."""
+    ``after``: that chunk comes first, then the rest. At the root, it is the walk.
+
+    ``skip`` passes the first ``skip`` symbols it would yield (from the cycle's
+    start, on a fresh walk) by adding up chunk lengths, with every decision made
+    as before but no chunk sliced or yielded; the chunk that holds the next
+    symbol is yielded from that symbol on, and the rest whole. ``quiet`` is the
+    one flag of both silent phases, so a walk without them tests it once a chunk.
+    ``stats`` counts the symbols yielded and every test.
+    """
     t, n, w = params.t, params.n, params.w_eff
     tmax = t - 1
     tests = iters = symbols = 0
@@ -157,8 +167,11 @@ def _concat_walk(params, stats, after=None):
     try:
         a = [0] * n
         if not path:
-            yield [0]
-            symbols = 1
+            if skip:
+                skip -= 1
+            else:
+                yield [0]
+                symbols = 1
         if w == 0:
             return
         # the root's only child 0^(n-1)1 (w >= 1, so t >= 2), a Lyndon word
@@ -166,10 +179,16 @@ def _concat_walk(params, stats, after=None):
         if path:
             path.pop()
         if not path:
-            yield a[:]
-            symbols += n
+            if skip < n:
+                yield a[skip:]
+                symbols += n - skip
+                skip = 0
+            else:
+                skip -= n
         if w == 1:
             return
+        # still descending to ``after``, or passing skipped chunks
+        quiet = bool(path or skip)
         # one frame per node of weight below w on the current path: [change
         # index, next child's position, child weight, L, F]
         fr = [n - 1, (n - 1) // 2, 2, 0, n]
@@ -213,7 +232,15 @@ def _concat_walk(params, stats, after=None):
                 if not p:
                     a[j] -= 1
                     continue
-            if not path:
+            if quiet:
+                if not path:
+                    skip -= p
+                    if skip < 0:
+                        # the chunk that holds the first symbol not skipped
+                        quiet = False
+                        yield a[p + skip:p]
+                        symbols -= skip
+            else:
                 yield a[:p]
                 symbols += p
             if wt < w:
@@ -229,7 +256,7 @@ def _concat_walk(params, stats, after=None):
             stats.add(symbols=symbols, tests=tests, comparisons=iters)
 
 
-def _concat_walk_reversed(params):
+def _concat_walk_reversed(params, skip=0):
     """``iter_concat_prefixes``' chunks in reverse order, from the cycle's end.
 
     The same walk, mirrored: it visits each node's children by decreasing
@@ -237,11 +264,15 @@ def _concat_walk_reversed(params):
     and yields a node's chunk after its subtree. Each child's decision reads
     only its parent's frame and its own position, so the order changes none of
     them. A frame adds lo and the node's own period to the forward walk's five
-    ints; nothing is counted.
+    ints; nothing is counted. ``skip`` passes the cycle's last ``skip`` symbols
+    as the forward walk passes its first: chunk lengths are added up while
+    ``quiet``, and the chunk that holds the symbol before them is yielded up to
+    that symbol.
     """
     t, n, w = params.t, params.n, params.w_eff
     tmax = t - 1
     a = [0] * n
+    quiet = skip > 0
     if w >= 2:
         a[n - 1] = 1
         # [change index, next child's position, child weight, L, F, lo, period]
@@ -251,7 +282,13 @@ def _concat_walk_reversed(params):
             i, j, wt, L, F, lo, q = fr
             if j < lo:
                 # the node's chunk follows its subtree
-                yield a[:q]
+                if quiet:
+                    skip -= q
+                    if skip < 0:
+                        quiet = False
+                        yield a[:-skip]
+                else:
+                    yield a[:q]
                 a[i] -= 1
                 stack.pop()
                 if not stack:
@@ -286,11 +323,20 @@ def _concat_walk_reversed(params):
                 fr = [j, j, wt + 1, L, F, lo, p]
                 stack.append(fr)
             else:
-                yield a[:p]
+                if quiet:
+                    skip -= p
+                    if skip < 0:
+                        quiet = False
+                        yield a[:-skip]
+                else:
+                    yield a[:p]
                 a[j] -= 1
-    elif w == 1:
-        yield [0] * (n - 1) + [1]
-    yield [0]
+    # the root's child when it has no frame, then the root; once nothing is left to
+    # pass, skip stays at or below minus each chunk's length, which keeps it whole
+    for chunk in [[0] * (n - 1) + [1], [0]] if w == 1 else [[0]]:
+        skip -= len(chunk)
+        if skip < 0:
+            yield chunk[:-skip]
 
 
 def generate_concat(params: ParamSet, stats: GenStats | None = None) -> UCycle:

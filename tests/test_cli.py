@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from math import comb
 from pathlib import Path
 
@@ -407,6 +407,35 @@ def test_tree_refuses_scans_past_the_enumerator_limit(capsys):
                    " of the necklace scan\n")
 
 
+def test_conjecture_sizes_its_run_before_it_starts(capsys, monkeypatch):
+    # the cycle symbols of every cell are summed first, and past the cap nothing runs
+    # or prints: one cell of 68,923,264,410 symbols, a sweep of 32,760 cells
+    cap = cli.CONJECTURE_MAX_SYMBOLS
+    code, out, err = run(capsys, "conjecture", "--t", "20", "--n", "20", "--w", "19")
+    assert (code, out) == (2, "")
+    assert err == f"error: conjecture would compare 68923264410 symbols per engine, above the cap {cap}\n"
+    code, out, err = run(capsys, "conjecture", "--max-tn", "40")
+    assert (code, out) == (2, "") and err.startswith("error: conjecture would compare ")
+    assert err.endswith(f" symbols per engine, above the cap {cap}\n") and err.count("\n") == 1
+    # --max-tn 13 (37,442,042 symbols) fits and 14 (145,422,541) does not; the check
+    # is stubbed, as only the sizing is under test
+    checked = []
+
+    def stub(params):
+        checked.append(params.universe_size)
+        size = params.universe_size
+        return msr.ConjectureReport(params.t, params.n, params.w_eff, True, size, size, None)
+
+    monkeypatch.setattr(cli, "check_conjecture", stub)
+    code, out, err = run(capsys, "conjecture", "--max-tn", "13")
+    assert (code, err) == (0, "") and sum(checked) == 37442042 <= cap
+    assert out.splitlines()[-1] == "checked 1170 cells: 1170 equal, 0 divergent"
+    checked.clear()
+    code, out, err = run(capsys, "conjecture", "--max-tn", "14")
+    assert (code, out, checked) == (2, "", [])
+    assert err == f"error: conjecture would compare 145422541 symbols per engine, above the cap {cap}\n"
+
+
 def test_conjecture_single_and_sweep(capsys, monkeypatch):
     code, out, _ = run(capsys, "conjecture", "--t", "5", "--n", "3", "--w", "4")
     assert code == 0 and out == "t=5 n=3 w=4 equal length=35\n"
@@ -647,20 +676,22 @@ def test_decode_matches_library_at_every_position(capsys):
 
 
 def _counting_walks(monkeypatch):
-    """Wrap the colex walk and its reversal so every chunk they yield is counted:
-    a list holding the symbols drawn so far."""
+    """Wrap the colex walk and its reversal, under the names the library calls them
+    by, so every chunk they yield is counted: a list holding the symbols drawn so far."""
     drawn = [0]
 
     def counting(walk):
-        def counted(*args):
-            for chunk in walk(*args):
+        def counted(*args, **kwargs):
+            for chunk in walk(*args, **kwargs):
                 drawn[0] += len(chunk)
                 yield chunk
         return counted
 
-    monkeypatch.setattr(grandmama, "_concat_walk", counting(grandmama._concat_walk))
+    walk = counting(grandmama._concat_walk)
+    monkeypatch.setattr(grandmama, "_concat_walk", walk)
+    monkeypatch.setattr(combmaps, "_concat_walk", walk)
     monkeypatch.setattr(combmaps, "_concat_walk_reversed",
-                        counting(combmaps._concat_walk_reversed))
+                        counting(grandmama._concat_walk_reversed))
     return drawn
 
 
@@ -672,16 +703,22 @@ def _decoded_word(capsys, p, position):
 
 
 def test_decode_draws_symbols_from_the_nearer_end(capsys, monkeypatch):
-    # unseeded grandmama reads its window from whichever end of the cycle is nearer,
-    # with the head's n symbols and two partial chunks on top
+    # unseeded grandmama seeks its window from whichever end of the cycle is nearer:
+    # the walk passes the symbols before it by their chunk lengths, so only the
+    # window's chunks are drawn, and the head's when it wraps
     p = ParamSet(4, 10, 15)
     cycle, length, n = generate_concat(p), p.universe_size, p.n
-    drawn = _counting_walks(monkeypatch)
+    starts = list(accumulate(map(len, iter_concat_prefixes(p)), initial=0))
     half = length // 2
-    for position in (0, half - 1, half, half + 1, length - n, length - 1):
+    below = max(s for s in starts if s <= half)
+    above = min(s for s in starts if s > half)
+    positions = {*range(2 * n + 1), half - 1, half, half + 1, length - n, length - 1}
+    positions |= {s + d for s in (below, above) for d in (-1, 0, 1)}
+    drawn = _counting_walks(monkeypatch)
+    for position in sorted(positions):
         drawn[0] = 0
         assert _decoded_word(capsys, p, position) == cycle.window(position), position
-        assert drawn[0] <= min(position, length - position) + 3 * n, position
+        assert drawn[0] <= 3 * n, position
 
 
 def test_decode_from_the_end_across_short_chunks_and_into_the_head(capsys, monkeypatch):
@@ -695,7 +732,7 @@ def test_decode_from_the_end_across_short_chunks_and_into_the_head(capsys, monke
         for position in range(length // 2, length):
             drawn[0] = 0
             assert _decoded_word(capsys, p, position) == cycle.window(position), (p, position)
-            assert drawn[0] <= length - position + 3 * n, (p, position)
+            assert drawn[0] <= 3 * n, (p, position)
 
 
 def _h2_dispatch(params, engine, start=None, steps=None, stats=None):

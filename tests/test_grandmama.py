@@ -1,5 +1,6 @@
 import hashlib
-from itertools import chain, islice
+import random
+from itertools import accumulate, chain, islice
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,41 @@ def test_reversed_walk_on_the_paper_cells():
         assert backwards[::-1] == list(iter_concat_prefixes(p)), (t, n, w)
 
 
+@pytest.mark.slow
+def test_walks_seek_past_the_symbols_they_skip():
+    # every skip of every cell with t <= 5, n <= 6 and at most 400 words, and ten
+    # of the decode cell (4,10,15), the chunk starts at its middle among them
+    rng = random.Random(27)
+    cells = [ParamSet(t, n, w) for t in range(1, 6) for n in range(1, 7)
+             for w in range(n * (t - 1) + 2) if ParamSet(t, n, w).universe_size <= 400]
+    for p in cells + [ParamSet(4, 10, 15)]:
+        stats = GenStats()
+        chunks = list(iter_concat_prefixes(p, stats))
+        cycle = list(chain.from_iterable(chunks))
+        counts = (stats.necklace_tests, stats.comparisons)
+        if len(cycle) <= 400:
+            skips = range(len(cycle))
+        else:
+            starts = list(accumulate(map(len, chunks), initial=0))
+            middle = next(k for k, start in enumerate(starts) if 2 * start >= len(cycle))
+            skips = [*starts[middle - 2 : middle + 2], *rng.sample(range(len(cycle)), 6)]
+        for skip in skips:
+            # forward: the chunk that holds symbol skip from there, the rest whole,
+            # and every test counted that the whole walk counts
+            stats = GenStats()
+            ahead = list(grandmama._concat_walk(p, stats, skip=skip))
+            assert list(chain.from_iterable(ahead)) == cycle[skip:], (p, skip)
+            assert ahead[1:] == chunks[len(chunks) - len(ahead) + 1:] and all(ahead), (p, skip)
+            assert (stats.symbols, stats.necklace_tests, stats.comparisons) == (
+                len(cycle) - skip, *counts), (p, skip)
+            # reversed: the chunk that holds the symbol before the last skip up to
+            # it, the ones before it whole
+            behind = list(grandmama._concat_walk_reversed(p, skip))
+            assert list(chain.from_iterable(behind[::-1])) == cycle[: len(cycle) - skip], (p, skip)
+            assert behind[1:] == chunks[: len(behind) - 1][::-1] and all(behind), (p, skip)
+    assert len(cells) == 191
+
+
 def _chunk_ends(chunks):
     """(the cycle, {position of each chunk's last symbol: that chunk})."""
     cycle, ends = [], {}
@@ -152,6 +188,33 @@ def test_necklace_windows_end_exactly_the_concat_chunks():
                     if marked:
                         assert ends[e] == win[: len(ends[e])], (p, e)
     assert cells == 372
+
+
+def _rotation_least(word):
+    """Whether ``word`` is a necklace: no rotation of it is smaller."""
+    return all(word <= word[i:] + word[:i] for i in range(1, len(word)))
+
+
+@pytest.mark.slow
+def test_chunk_end_facts_at_every_window_of_the_paper_cells():
+    # both facts seeded runs rest on, at every window of the paper's --subsets 1001 2
+    # and --subsets 200 3 cells (about 10 s): a nonzero window of the colex cycle
+    # that is a necklace ends exactly that necklace's chunk, and a window W of the
+    # msr cycle ends a chunk exactly when [w - weight(W)] + W is a necklace, the
+    # chunk's
+    for t, n, w in [(1000, 2, 999), (198, 3, 197)]:
+        p = ParamSet(t, n, w)
+        for chunks, missing in ((iter_concat_prefixes(p), False),
+                                (iter_reverse_colex_prefixes(p), True)):
+            cycle, ends = _chunk_ends(chunks)
+            ring = cycle[len(cycle) - n + 1:] + cycle  # ring[e : e + n] ends at cycle[e]
+            for e in range(len(cycle)):
+                win = ring[e : e + n]
+                word = [w - sum(win), *win] if missing else win
+                marked = (missing or any(win)) and _rotation_least(word)
+                assert marked == (e in ends and (missing or e > 0)), (p, missing, e)
+                if marked:
+                    assert ends[e] == word[: len(ends[e])], (p, missing, e)
 
 
 # every (t, n) with t = 2 and n <= 12 or t = 3 and n <= 8
@@ -687,7 +750,7 @@ def _suspended(walk, names):
 
 
 # (walk, node length less n, the locals its next step reads)
-CONCAT_WALK = (grandmama._concat_walk, 0, ("a", "stack", "path", "j", "L", "F"))
+CONCAT_WALK = (grandmama._concat_walk, 0, ("a", "stack", "path", "quiet", "j", "L", "F"))
 MSR_TREE_WALK = (msr._msr_tree_walk, 1, ("a", "stack", "path", "j", "L", "F"))
 
 

@@ -177,9 +177,9 @@ def test_missing_symbol_necklaces_end_exactly_the_msr_chunks():
 
 def test_check_conjecture_where_w_dwarfs_n():
     # unseeded msr streams the tree walk in place of h2, so they must agree on
-    # the encoded cells with w >> n too, the paper's --subsets 1000 2 and
-    # --subsets 200 3 among them
-    for t, n, w in HEAVY_CELLS + [(1000, 2, 999), (198, 3, 197)]:
+    # the encoded cells with w >> n too, the paper's --subsets 1001 2, --subsets
+    # 200 3 and --subsets 52 5 among them ((48,5,47) takes about 5 s)
+    for t, n, w in HEAVY_CELLS + [(1000, 2, 999), (198, 3, 197), (48, 5, 47)]:
         rep = check_conjecture(ParamSet(t, n, w))
         assert rep.holds, (t, n, w, rep)
         assert rep.length_msr == rep.length_reverse_colex == ParamSet(t, n, w).universe_size
