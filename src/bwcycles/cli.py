@@ -25,9 +25,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from bwcycles.combmaps import (ENCODINGS, ENGINES, Encoding, engine_chunks, fixed_weight_expand,
                                fixed_weight_size, window_at)
@@ -53,8 +52,7 @@ class _OneLineParser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-@dataclass
-class _Cell:
+class _Cell(NamedTuple):
     """A resolved target: which word cell the engines run on and how to display it."""
 
     kind: str  # words, or an ENCODINGS key

@@ -25,14 +25,13 @@ fixed-weight expansion's w <= t rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import accumulate, chain, cycle, islice, repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from bwcycles.grandmama import (GenStats, UCycle, _concat_walk, _concat_walk_reversed,
                                 _resumed_chunks, _successor_start, iter_concat_prefixes)
 from bwcycles.msr import _msr_tree_walk, _require_small_weight, iter_reverse_colex_prefixes
-from bwcycles.words import ParamSet, Word, _symbols, count_bounded_words
+from bwcycles.words import ParamSet, Word, _Frozen, _symbols, count_bounded_words
 
 __all__ = [
     "CombObject",
@@ -63,38 +62,38 @@ SCHEME_MULTISET_FREQ = "multiset_shorthand_frequency"
 SCHEME_MULTISET_DIFF = "multiset_difference"
 
 
-@dataclass(frozen=True)
-class CombObject:
+class CombObject(_Frozen):
     """A k-subset or k-multiset of the ground set {1..n}.
 
     ``elements`` is sorted; subsets are strictly increasing, multisets merely
     non-decreasing.
     """
 
-    kind: str  # "subset" | "multiset"
-    n: int
-    k: int
-    elements: tuple[int, ...]
+    __slots__ = __match_args__ = ("kind", "n", "k", "elements")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("subset", "multiset"):
-            raise ValueError(f"kind must be subset or multiset, got {self.kind!r}")
-        if self.n < 1 or self.k < 1:
-            raise ValueError(f"need n, k >= 1, got n={self.n} k={self.k}")
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if len(self.elements) != self.k:
-            raise ValueError(f"expected {self.k} elements, got {len(self.elements)}")
-        for e in self.elements:
-            if not 1 <= e <= self.n:
-                raise ValueError(f"element {e} outside 1..{self.n}")
-        pairs = zip(self.elements, self.elements[1:])
-        if self.kind == "subset":
-            if self.k > self.n:
-                raise ValueError(f"a subset cannot have k={self.k} > n={self.n}")
+    def __init__(self, kind: str, n: int, k: int, elements: Sequence[int]) -> None:
+        if kind not in ("subset", "multiset"):
+            raise ValueError(f"kind must be subset or multiset, got {kind!r}")
+        if n < 1 or k < 1:
+            raise ValueError(f"need n, k >= 1, got n={n} k={k}")
+        elements = tuple(elements)
+        if len(elements) != k:
+            raise ValueError(f"expected {k} elements, got {len(elements)}")
+        for e in elements:
+            if not 1 <= e <= n:
+                raise ValueError(f"element {e} outside 1..{n}")
+        pairs = zip(elements, elements[1:])
+        if kind == "subset":
+            if k > n:
+                raise ValueError(f"a subset cannot have k={k} > n={n}")
             if any(a >= b for a, b in pairs):
                 raise ValueError("subset elements must be strictly increasing")
         elif any(a > b for a, b in pairs):
             raise ValueError("multiset elements must be sorted")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "elements", elements)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "n": self.n, "k": self.k, "elements": list(self.elements)}
@@ -231,8 +230,7 @@ def window_at(params: ParamSet, engine: str, position: int, start: Sequence[int]
                                 n - len(window)))
 
 
-@dataclass(frozen=True)
-class Encoding:
+class Encoding(NamedTuple):
     """How one family of (n, k) objects rides on a weight-bounded word cell.
 
     The cycle's length is the cell's ``universe_size``: every cell here has
@@ -358,5 +356,5 @@ def fixed_weight_expand(cycle: UCycle) -> list[tuple[int, ...]]:
         spot = next((i for i, win in enumerate(cycle.windows()) if not any(win)), None)
         if spot is None:
             raise ValueError("w = t expansion needs the all-zero window in the cycle")
-        cycle = replace(cycle, symbols=cycle.symbols[:spot] + cycle.symbols[spot + 1:])
+        cycle = UCycle(cycle.symbols[:spot] + cycle.symbols[spot + 1:], cycle.params, cycle.engine)
     return [win + (w - sum(win),) for win in cycle.windows()]

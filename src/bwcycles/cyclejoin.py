@@ -23,13 +23,12 @@ through the necklace-period test, and takes the MSR's w < t guard from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
 from bwcycles.msr import _require_small_weight
-from bwcycles.words import (MAX_SCAN_WORDS, ParamSet, Word, _colex_key, _period_count, _render,
-                            _symbols, necklace_info, words_iter)
+from bwcycles.words import (MAX_SCAN_WORDS, ParamSet, Word, _colex_key, _Frozen, _period_count,
+                            _Record, _render, _symbols, necklace_info, words_iter)
 
 __all__ = [
     "FeedbackKind",
@@ -51,24 +50,24 @@ class FeedbackKind(Enum):
     MSR = "msr"
 
 
-@dataclass(frozen=True)
-class ConjugatePair:
+class ConjugatePair(_Frozen):
     """Two windows that differ exactly in their first symbol.
 
     ``sigma`` sits on the parent's cycle, ``sigma_hat`` on the child's; swapping
     their successors merges the two cycles.
     """
 
-    sigma: tuple[int, ...]
-    sigma_hat: tuple[int, ...]
+    __slots__ = __match_args__ = ("sigma", "sigma_hat")
 
-    def __post_init__(self) -> None:
-        if len(self.sigma) != len(self.sigma_hat):
+    def __init__(self, sigma: tuple[int, ...], sigma_hat: tuple[int, ...]) -> None:
+        if len(sigma) != len(sigma_hat):
             raise ValueError("conjugate pair windows must have equal length")
-        if not self.sigma or self.sigma[1:] != self.sigma_hat[1:]:
+        if not sigma or sigma[1:] != sigma_hat[1:]:
             raise ValueError("conjugate pair windows must differ exactly in the first symbol")
-        if self.sigma[0] == self.sigma_hat[0]:
+        if sigma[0] == sigma_hat[0]:
             raise ValueError("conjugate pair windows must differ in the first symbol")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma_hat", sigma_hat)
 
 
 def _first_nonzero(word: tuple[int, ...]) -> int:
@@ -140,27 +139,35 @@ def msr_parent(word: "Word | Sequence[int]"):
     return _checked_parent(word, _msr_parent, 2)
 
 
-@dataclass
-class CycleTree:
+class CycleTree(_Record):
     """A rooted spanning tree over the cycles of one feedback register.
 
     Nodes are necklace labels (tuples). ``children`` lists each node's children
     in ascending change-index order, which makes the preorder walk visit labels
     in colex order (PCR) or reverse colex order (MSR). Every non-root node
-    carries the conjugate pair of the edge to its parent.
+    carries the conjugate pair of the edge to its parent. ``_successor_map``
+    caches ``generic_successor``'s map; equality and the repr leave it out.
     """
 
-    kind: FeedbackKind
-    params: ParamSet
-    root: tuple[int, ...]
-    parent: dict[tuple[int, ...], tuple[int, ...] | None]
-    children: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
-    change_index: dict[tuple[int, ...], int]
-    pairs: dict[tuple[int, ...], ConjugatePair | None]
-    depth: dict[tuple[int, ...], int]
-    _successor_map: dict[tuple[int, ...], int] | None = field(
-        default=None, repr=False, compare=False
-    )
+    __match_args__ = ("kind", "params", "root", "parent", "children", "change_index", "pairs",
+                      "depth")
+    __slots__ = __match_args__ + ("_successor_map",)
+
+    def __init__(
+        self,
+        kind: FeedbackKind,
+        params: ParamSet,
+        root: tuple[int, ...],
+        parent: dict[tuple[int, ...], tuple[int, ...] | None],
+        children: dict[tuple[int, ...], tuple[tuple[int, ...], ...]],
+        change_index: dict[tuple[int, ...], int],
+        pairs: dict[tuple[int, ...], ConjugatePair | None],
+        depth: dict[tuple[int, ...], int],
+        _successor_map: dict[tuple[int, ...], int] | None = None,
+    ) -> None:
+        self.kind, self.params, self.root = kind, params, root
+        self.parent, self.children, self.change_index = parent, children, change_index
+        self.pairs, self.depth, self._successor_map = pairs, depth, _successor_map
 
     def __len__(self) -> int:
         return len(self.parent)

@@ -22,11 +22,10 @@ symbol comparisons), which is how the constant-amortized-work claim is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, cycle, islice
 from typing import Iterator, Sequence
 
-from bwcycles.words import ParamSet, Word, _period_count, _render, _symbols
+from bwcycles.words import ParamSet, Word, _Frozen, _period_count, _Record, _render, _symbols
 
 __all__ = [
     "UCycle",
@@ -39,13 +38,15 @@ __all__ = [
 ]
 
 
-@dataclass
-class GenStats:
+class GenStats(_Record):
     """Instrumentation counters shared by the generators in this package."""
 
-    symbols: int = 0
-    necklace_tests: int = 0
-    comparisons: int = 0
+    __slots__ = __match_args__ = ("symbols", "necklace_tests", "comparisons")
+
+    def __init__(self, symbols: int = 0, necklace_tests: int = 0, comparisons: int = 0) -> None:
+        self.symbols = symbols
+        self.necklace_tests = necklace_tests
+        self.comparisons = comparisons
 
     def add(self, symbols=0, tests=0, comparisons=0):
         self.symbols += symbols
@@ -53,8 +54,7 @@ class GenStats:
         self.comparisons += comparisons
 
 
-@dataclass(frozen=True)
-class UCycle:
+class UCycle(_Frozen):
     """A generated cyclic sequence plus enough provenance to interpret it.
 
     ``params`` is the underlying (t, n, w) cell; ``n`` doubles as the window
@@ -62,11 +62,15 @@ class UCycle:
     symbols, so only word-level cycles promise symbols < t.
     """
 
-    symbols: tuple[int, ...]
-    params: ParamSet
-    engine: str
-    scheme: str | None = None
-    scheme_params: tuple[int, int] | None = None
+    __slots__ = __match_args__ = ("symbols", "params", "engine", "scheme", "scheme_params")
+
+    def __init__(self, symbols: tuple[int, ...], params: ParamSet, engine: str,
+                 scheme: str | None = None, scheme_params: tuple[int, int] | None = None) -> None:
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "engine", engine)
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "scheme_params", scheme_params)
 
     @property
     def t(self) -> int:

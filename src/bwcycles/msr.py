@@ -22,9 +22,8 @@ always run h2, so the comparison and the tests keep checking the equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, zip_longest
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from bwcycles.grandmama import (GenStats, UCycle, _exhaustive_successor, _successor,
                                 _successor_start, _successor_stream, _validate_window)
@@ -221,8 +220,7 @@ def generate_reverse_colex(params: ParamSet, stats: GenStats | None = None) -> U
     return UCycle(tuple(chain.from_iterable(chunks)), params, "reverse-colex")
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Outcome of comparing the successor-rule output with the reverse-colex
     concatenation on one parameter cell. Reported, never assumed."""
 

@@ -20,13 +20,12 @@ are turned back into words only for the report. Keep it dumb.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import chain, combinations, combinations_with_replacement, cycle, islice
 from math import comb
 from operator import mul, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from bwcycles.words import count_bounded_words, words_iter
+from bwcycles.words import _Record, count_bounded_words, words_iter
 
 __all__ = ["VerifyReport", "verify_universal_cycle", "verify_stream", "verify_listing",
            "enumerate_universe"]
@@ -45,19 +44,32 @@ DENSE_RATIO = 64
 _SEEN = bytes([0] + [1] * 255)  # translate table: any count -> 0 or 1
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(_Record):
     """Outcome of a sliding-window coverage check, JSON-friendly via to_dict()."""
 
-    ok: bool
-    window_len: int
-    cycle_len: int
-    expected_count: int
-    window_count: int
-    missing: list[tuple[int, ...]] = field(default_factory=list)
-    duplicated: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
-    unexpected: list[tuple[int, ...]] = field(default_factory=list)
-    truncated: bool = False
+    __slots__ = __match_args__ = ("ok", "window_len", "cycle_len", "expected_count",
+                                  "window_count", "missing", "duplicated", "unexpected",
+                                  "truncated")
+
+    def __init__(
+        self,
+        ok: bool,
+        window_len: int,
+        cycle_len: int,
+        expected_count: int,
+        window_count: int,
+        missing: list[tuple[int, ...]] | None = None,
+        duplicated: list[tuple[tuple[int, ...], int]] | None = None,
+        unexpected: list[tuple[int, ...]] | None = None,
+        truncated: bool = False,
+    ) -> None:
+        self.ok, self.window_len, self.cycle_len = ok, window_len, cycle_len
+        self.expected_count, self.window_count = expected_count, window_count
+        # each list defaults to a fresh empty one
+        self.missing = [] if missing is None else missing
+        self.duplicated = [] if duplicated is None else duplicated
+        self.unexpected = [] if unexpected is None else unexpected
+        self.truncated = truncated
 
     def to_dict(self) -> dict:
         return {
@@ -73,15 +85,14 @@ class VerifyReport:
         }
 
 
-@dataclass
-class _Coded:
+class _Coded(NamedTuple):
     """A universe of length-n words as base-t codes."""
 
     t: int
     n: int
     marks: bytes | bytearray | dict[int, int]  # 1 at each word's code
     size: int  # words with a code
-    stray: set[tuple[int, ...]] = field(default_factory=set)  # words no window can code
+    stray: set[tuple[int, ...]] | frozenset = frozenset()  # words no window can code
 
 
 def _word(code: int, t: int, n: int) -> tuple[int, ...]:

@@ -12,10 +12,10 @@ hot paths work on plain tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Word",
@@ -58,24 +58,70 @@ def _symbols(word: "Word | Sequence[int]") -> tuple[int, ...]:
     return tuple(word)
 
 
-@dataclass(frozen=True)
-class Word:
+class _Record:
+    """Base of the package's slotted records: plain classes with an explicit
+    ``__init__``, which, unlike dataclasses, generate no code at import.
+
+    ``__match_args__`` names the fields: equality and the repr read them in that
+    order. A record equals only a record of its own class and has no hash.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # ``_values``: the fields' values as one tuple, read in C
+        if cls.__match_args__:
+            cls._values = property(attrgetter(*cls.__match_args__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record whose fields ``__init__`` sets once, with ``object.__setattr__``;
+    it hashes its fields, and assigning or deleting any attribute raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class Word(_Frozen):
     """An immutable word over the alphabet {0..t-1}.
 
     ``symbols`` holds the word left to right. Validation rejects out-of-range
     symbols at construction time so downstream code never has to re-check.
     """
 
-    symbols: tuple[int, ...]
-    t: int
+    __slots__ = __match_args__ = ("symbols", "t")
 
-    def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.t}")
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        for s in self.symbols:
-            if not isinstance(s, int) or not 0 <= s < self.t:
-                raise ValueError(f"symbol {s!r} out of range for alphabet size {self.t}")
+    def __init__(self, symbols: Sequence[int], t: int) -> None:
+        if t < 1:
+            raise ValueError(f"alphabet size must be >= 1, got {t}")
+        symbols = tuple(symbols)
+        for s in symbols:
+            if not isinstance(s, int) or not 0 <= s < t:
+                raise ValueError(f"symbol {s!r} out of range for alphabet size {t}")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "t", t)
 
     @classmethod
     def from_string(cls, text: str, t: int) -> "Word":
@@ -99,8 +145,7 @@ class Word:
         return _render(self.symbols)
 
 
-@dataclass(frozen=True)
-class ParamSet:
+class ParamSet(_Frozen):
     """Parameters (t, n, w): alphabet size, word length, weight ceiling.
 
     The effective ceiling ``w_eff`` is min(w, n*(t-1)); a requested w above the
@@ -108,17 +153,18 @@ class ParamSet:
     whether that happened.
     """
 
-    t: int
-    n: int
-    w: int
+    __slots__ = __match_args__ = ("t", "n", "w")
 
-    def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"alphabet size t must be >= 1, got {self.t}")
-        if self.n < 1:
-            raise ValueError(f"word length n must be >= 1, got {self.n}")
-        if self.w < 0:
-            raise ValueError(f"weight ceiling w must be >= 0, got {self.w}")
+    def __init__(self, t: int, n: int, w: int) -> None:
+        if t < 1:
+            raise ValueError(f"alphabet size t must be >= 1, got {t}")
+        if n < 1:
+            raise ValueError(f"word length n must be >= 1, got {n}")
+        if w < 0:
+            raise ValueError(f"weight ceiling w must be >= 0, got {w}")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "w", w)
 
     @property
     def w_eff(self) -> int:
@@ -136,8 +182,7 @@ class ParamSet:
         return count_bounded_words(self.t, self.n, self.w_eff)
 
 
-@dataclass(frozen=True)
-class NecklaceInfo:
+class NecklaceInfo(NamedTuple):
     """Result of a necklace test.
 
     ``aperiodic_prefix_len`` is the length of the shortest block the word is a

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from math import comb
 
 import pytest
@@ -374,7 +373,9 @@ def test_codec_refusals_carry_their_own_messages():
         multiset_to_freq(CombObject("multiset", 1, 2, (1, 1)))
     with pytest.raises(ValueError, match=r"^multiset_to_diff takes a multiset$"):
         multiset_to_diff(CombObject("subset", 3, 2, (1, 2)))
-    foreign = replace(ucycle_subsets(5, 3), scheme="bogus")
+    subsets = ucycle_subsets(5, 3)
+    foreign = UCycle(subsets.symbols, subsets.params, subsets.engine, "bogus",
+                     subsets.scheme_params)
     with pytest.raises(ValueError, match=r"^unknown scheme 'bogus'$"):
         decode_window(foreign, 0)
 

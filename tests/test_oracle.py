@@ -434,9 +434,12 @@ def test_engine_cycles_verify_on_a_wide_grid():
 @pytest.mark.slow
 def test_engines_stream_universal_cycles_on_the_paper_cells():
     # the cells of --subsets 1000 2 and --subsets 200 3, under every engine, and
-    # seeded from one window in the middle of the colex cycle
+    # seeded from one window in the middle of the colex cycle; (48,5,47), the cell
+    # of --subsets 52 5, under both walks (t^n is 98 times its universe, so the
+    # check takes the sparse path, about 3 s and 380 MB each)
     runs = [(ParamSet(*cell), engine, None) for cell in [(1000, 2, 999), (198, 3, 197)]
             for engine in ("grandmama", "msr", "reverse-colex")]
+    runs += [(ParamSet(48, 5, 47), engine, None) for engine in ("grandmama", "msr")]
     p = ParamSet(198, 3, 197)
     seed = window_at(p, "grandmama", p.universe_size // 2)
     runs += [(p, "grandmama", seed), (p, "msr", seed)]

@@ -1,6 +1,8 @@
-"""The package imports nothing but the standard library and itself."""
+"""The package imports nothing but the standard library and itself, and its CLI
+starts without the slow-to-import modules that dataclasses would bring."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +33,12 @@ def test_package_imports_only_the_standard_library():
     foreign = {path.name: _foreign_imports(ast.parse(path.read_text(), filename=str(path)))
                for path in files}
     assert {name: found for name, found in foreign.items() if found} == {}
+
+
+def test_cli_starts_without_dataclasses_or_inspect():
+    # -S: no site hooks, so the modules counted are the ones importing the CLI loads
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import bwcycles.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"
