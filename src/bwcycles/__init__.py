@@ -1,113 +1,18 @@
-"""Universal cycles for bounded-weight words, subsets and multisets."""
+"""Universal cycles for bounded-weight words, subsets and multisets.
 
-from bwcycles.combmaps import (
-    CombObject,
-    decode_window,
-    diff_to_multiset,
-    diff_to_subset,
-    fixed_weight_expand,
-    freq_to_multiset,
-    multiset_to_diff,
-    multiset_to_freq,
-    subset_to_diff,
-    ucycle_multisets_diff,
-    ucycle_multisets_freq,
-    ucycle_subsets,
-    window_at,
-)
-from bwcycles.cyclejoin import (
-    ConjugatePair,
-    CycleTree,
-    FeedbackKind,
-    build_tree,
-    check_chain_property,
-    check_periodic_leaves,
-    generic_successor,
-    msr_parent,
-    pcr_parent,
-)
-from bwcycles.grandmama import (
-    GenStats,
-    UCycle,
-    generate_by_successor,
-    generate_concat,
-    iter_concat_prefixes,
-    successor_h1,
-)
-from bwcycles.msr import (
-    ConjectureReport,
-    check_conjecture,
-    generate_msr,
-    generate_reverse_colex,
-    successor_h2,
-)
-from bwcycles.oracle import (
-    VerifyReport,
-    enumerate_universe,
-    verify_listing,
-    verify_stream,
-    verify_universal_cycle,
-)
-from bwcycles.words import (
-    NecklaceInfo,
-    ParamSet,
-    Word,
-    colex_less,
-    count_bounded_words,
-    enumerate_bounded_necklaces,
-    necklace_info,
-    weight,
-    words_iter,
-)
+The package re-exports the public names of its six library modules: each
+module's ``__all__`` is the one place a name is declared public.
+"""
+
+from bwcycles import combmaps, cyclejoin, grandmama, msr, oracle, words
+from bwcycles.combmaps import *
+from bwcycles.cyclejoin import *
+from bwcycles.grandmama import *
+from bwcycles.msr import *
+from bwcycles.oracle import *
+from bwcycles.words import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CombObject",
-    "ConjectureReport",
-    "ConjugatePair",
-    "CycleTree",
-    "FeedbackKind",
-    "GenStats",
-    "NecklaceInfo",
-    "ParamSet",
-    "UCycle",
-    "VerifyReport",
-    "Word",
-    "build_tree",
-    "check_chain_property",
-    "check_conjecture",
-    "check_periodic_leaves",
-    "colex_less",
-    "count_bounded_words",
-    "decode_window",
-    "diff_to_multiset",
-    "diff_to_subset",
-    "enumerate_bounded_necklaces",
-    "enumerate_universe",
-    "fixed_weight_expand",
-    "freq_to_multiset",
-    "generate_by_successor",
-    "generate_concat",
-    "generate_msr",
-    "generate_reverse_colex",
-    "generic_successor",
-    "iter_concat_prefixes",
-    "msr_parent",
-    "multiset_to_diff",
-    "multiset_to_freq",
-    "necklace_info",
-    "pcr_parent",
-    "subset_to_diff",
-    "successor_h1",
-    "successor_h2",
-    "ucycle_multisets_diff",
-    "ucycle_multisets_freq",
-    "ucycle_subsets",
-    "verify_listing",
-    "verify_stream",
-    "verify_universal_cycle",
-    "weight",
-    "window_at",
-    "words_iter",
-]
+__all__ = [name for module in (combmaps, cyclejoin, grandmama, msr, oracle, words)
+           for name in module.__all__]

@@ -172,8 +172,7 @@ def cmd_generate(args) -> int:
     names = [str(s) for s in range(cell.shift, top + 1)]
     written = _emit_stream(chunks, args.format, names, meta, sys.stdout)
     if stats is not None:
-        # count what actually went out: the concatenation walks flush their
-        # symbol tally only on completion, so it lags when --limit cuts in.
+        # --limit cuts the last chunk, so the count is taken from what was written
         print(
             f"stats: symbols={written} necklace_tests={stats.necklace_tests}"
             f" comparisons={stats.comparisons}",

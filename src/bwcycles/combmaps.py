@@ -90,10 +90,7 @@ class CombObject(_Frozen):
                 raise ValueError("subset elements must be strictly increasing")
         elif any(a > b for a, b in pairs):
             raise ValueError("multiset elements must be sorted")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "elements", elements)
+        self._fill(kind, n, k, elements)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "n": self.n, "k": self.k, "elements": list(self.elements)}
@@ -197,37 +194,25 @@ def window_at(params: ParamSet, engine: str, position: int, start: Sequence[int]
     there, in its second half the reversed walk passes the L - position - n
     symbols after the window the same way, so only the window's chunks are
     yielded. Any other stream is read up to the window's end. Either way O(n)
-    symbols are held, and the cycle's first n symbols end a window that wraps.
+    symbols are held. Every stream starts with its seed window, or with 0^n
+    unseeded (the colex walk's 0 then 0^(n-1)1, the msr walk's 0^n w, a
+    one-word cycle's 0), so a window that wraps ends in those symbols.
     """
     chunks = engine_chunks(params, engine, start)[1]
     n, length = params.n, params.universe_size
     if not 0 <= position < length:
         raise ValueError(f"position {position} outside 0..{length - 1}")
+    # the symbols from position up to n later, or to the cycle's end
+    end = min(position + n, length)
     if engine != "grandmama" or start is not None:
-        symbols = chain.from_iterable(chunks)
-        # all of the cycle when it is shorter than n
-        head = list(islice(symbols, n))
-        return list(islice(chain(head, symbols, cycle(head)), position, position + n))
-    window = []
-    if 2 * position < length:
-        for chunk in _concat_walk(params, None, skip=position):
-            window += chunk
-            if len(window) >= n:
-                return window[:n]
+        window = list(islice(chain.from_iterable(chunks), position, end))
+    elif 2 * position < length:
+        window = list(islice(chain.from_iterable(_concat_walk(params, None, skip=position)),
+                             end - position))
     else:
-        # the symbols from position up to n later, or to the cycle's end
-        end = min(position + n, length)
-        for chunk in _concat_walk_reversed(params, skip=length - end):
-            window[:0] = chunk
-            if len(window) >= end - position:
-                break
-        del window[:len(window) - (end - position)]
-        if len(window) == n:
-            return window
-    # a window that wraps ends in the cycle's first symbols, round as often as a
-    # cycle shorter than n needs
-    return window + list(islice(cycle(chain.from_iterable(_concat_walk(params, None))),
-                                n - len(window)))
+        behind = _concat_walk_reversed(params, skip=length - end)
+        window = list(islice(chain.from_iterable(map(reversed, behind)), end - position))[::-1]
+    return window + list(islice(cycle(start or (0,)), n - len(window)))
 
 
 class Encoding(NamedTuple):

@@ -66,8 +66,7 @@ class ConjugatePair(_Frozen):
             raise ValueError("conjugate pair windows must differ exactly in the first symbol")
         if sigma[0] == sigma_hat[0]:
             raise ValueError("conjugate pair windows must differ in the first symbol")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "sigma_hat", sigma_hat)
+        self._fill(sigma, sigma_hat)
 
 
 def _first_nonzero(word: tuple[int, ...]) -> int:
@@ -165,9 +164,8 @@ class CycleTree(_Record):
         depth: dict[tuple[int, ...], int],
         _successor_map: dict[tuple[int, ...], int] | None = None,
     ) -> None:
-        self.kind, self.params, self.root = kind, params, root
-        self.parent, self.children, self.change_index = parent, children, change_index
-        self.pairs, self.depth, self._successor_map = pairs, depth, _successor_map
+        self._fill(kind, params, root, parent, children, change_index, pairs, depth)
+        self._successor_map = _successor_map
 
     def __len__(self) -> int:
         return len(self.parent)

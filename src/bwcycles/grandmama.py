@@ -44,9 +44,7 @@ class GenStats(_Record):
     __slots__ = __match_args__ = ("symbols", "necklace_tests", "comparisons")
 
     def __init__(self, symbols: int = 0, necklace_tests: int = 0, comparisons: int = 0) -> None:
-        self.symbols = symbols
-        self.necklace_tests = necklace_tests
-        self.comparisons = comparisons
+        self._fill(symbols, necklace_tests, comparisons)
 
     def add(self, symbols=0, tests=0, comparisons=0):
         self.symbols += symbols
@@ -66,11 +64,7 @@ class UCycle(_Frozen):
 
     def __init__(self, symbols: tuple[int, ...], params: ParamSet, engine: str,
                  scheme: str | None = None, scheme_params: tuple[int, int] | None = None) -> None:
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "engine", engine)
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "scheme_params", scheme_params)
+        self._fill(symbols, params, engine, scheme, scheme_params)
 
     @property
     def t(self) -> int:
@@ -174,8 +168,8 @@ def _concat_walk(params, stats, after=None, skip=0):
             if skip:
                 skip -= 1
             else:
-                yield [0]
                 symbols = 1
+                yield [0]
         if w == 0:
             return
         # the root's only child 0^(n-1)1 (w >= 1, so t >= 2), a Lyndon word
@@ -184,8 +178,8 @@ def _concat_walk(params, stats, after=None, skip=0):
             path.pop()
         if not path:
             if skip < n:
-                yield a[skip:]
                 symbols += n - skip
+                yield a[skip:]
                 skip = 0
             else:
                 skip -= n
@@ -242,11 +236,11 @@ def _concat_walk(params, stats, after=None, skip=0):
                     if skip < 0:
                         # the chunk that holds the first symbol not skipped
                         quiet = False
-                        yield a[p + skip:p]
                         symbols -= skip
+                        yield a[p + skip:p]
             else:
-                yield a[:p]
                 symbols += p
+                yield a[:p]
             if wt < w:
                 lo = j // 2
                 if L > lo:

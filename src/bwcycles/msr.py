@@ -142,8 +142,8 @@ def _msr_tree_walk(params, stats, after=None):
         if not path:
             # the root: 0^n w is a Lyndon word, or 0^(n+1) of period 1 with no children
             p = N if w else 1
-            yield a[:p]
             symbols = p
+            yield a[:p]
         stack = [[N - 1, 0, N, path.pop() if path else 0]]
         fr = stack[-1]
         while True:
@@ -197,8 +197,8 @@ def _msr_tree_walk(params, stats, after=None):
             if path:
                 k = path.pop()
             else:
-                yield a[:p]
                 symbols += p
+                yield a[:p]
                 # a node with f = 0 has no child 0
                 k = 0 if j else 1
             fr = [j, L, F, k]

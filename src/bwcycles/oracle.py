@@ -63,13 +63,10 @@ class VerifyReport(_Record):
         unexpected: list[tuple[int, ...]] | None = None,
         truncated: bool = False,
     ) -> None:
-        self.ok, self.window_len, self.cycle_len = ok, window_len, cycle_len
-        self.expected_count, self.window_count = expected_count, window_count
         # each list defaults to a fresh empty one
-        self.missing = [] if missing is None else missing
-        self.duplicated = [] if duplicated is None else duplicated
-        self.unexpected = [] if unexpected is None else unexpected
-        self.truncated = truncated
+        self._fill(ok, window_len, cycle_len, expected_count, window_count,
+                   [] if missing is None else missing, [] if duplicated is None else duplicated,
+                   [] if unexpected is None else unexpected, truncated)
 
     def to_dict(self) -> dict:
         return {

@@ -26,6 +26,7 @@ __all__ = [
     "necklace_info",
     "enumerate_bounded_necklaces",
     "count_bounded_words",
+    "words_iter",
     "parse_symbols",
 ]
 
@@ -74,6 +75,11 @@ class _Record:
         if cls.__match_args__:
             cls._values = property(attrgetter(*cls.__match_args__))
 
+    def _fill(self, *values) -> None:
+        """Set the ``__match_args__`` fields to ``values``, in their order."""
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._values == other._values
@@ -85,7 +91,7 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """A record whose fields ``__init__`` sets once, with ``object.__setattr__``;
+    """A record whose fields ``__init__`` sets once, through ``_fill``;
     it hashes its fields, and assigning or deleting any attribute raises
     AttributeError."""
 
@@ -120,8 +126,7 @@ class Word(_Frozen):
         for s in symbols:
             if not isinstance(s, int) or not 0 <= s < t:
                 raise ValueError(f"symbol {s!r} out of range for alphabet size {t}")
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "t", t)
+        self._fill(symbols, t)
 
     @classmethod
     def from_string(cls, text: str, t: int) -> "Word":
@@ -162,9 +167,7 @@ class ParamSet(_Frozen):
             raise ValueError(f"word length n must be >= 1, got {n}")
         if w < 0:
             raise ValueError(f"weight ceiling w must be >= 0, got {w}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "w", w)
+        self._fill(t, n, w)
 
     @property
     def w_eff(self) -> int:

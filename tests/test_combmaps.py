@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from bwcycles.combmaps import (
     ENCODINGS,
+    ENGINES,
     CombObject,
     SCHEME_MULTISET_DIFF,
     SCHEME_MULTISET_FREQ,
@@ -28,7 +30,7 @@ from bwcycles.grandmama import (UCycle, generate_by_successor, generate_concat,
                                 iter_successor_chunks)
 from bwcycles.msr import generate_msr, generate_reverse_colex, iter_msr_chunks
 from bwcycles.oracle import enumerate_universe, verify_universal_cycle
-from bwcycles.words import ParamSet, Word
+from bwcycles.words import ParamSet, Word, words_iter
 
 
 def subsets(n, k):
@@ -450,6 +452,34 @@ def test_window_at_refusals_come_in_the_engines_order():
             window_at(p, "reverse-colex", position, (0, 0, 0))
         with pytest.raises(ValueError, match=r"^window length 2 != n = 3$"):
             window_at(p, "grandmama", position, (0, 0))
+
+
+
+def test_every_stream_starts_with_its_seed_window_or_zeros():
+    # window_at ends a window that wraps in islice(cycle(start or (0,)), ...): every
+    # stream engine_chunks starts, read round as often as a one-word cycle needs,
+    # begins with its seed window, or with 0^n unseeded. Every cell with t, n <= 4
+    # and w up to n(t-1)+1, each engine unseeded and from four seed windows
+    rng = random.Random(29)
+    runs = 0
+    for t in range(1, 5):
+        for n in range(1, 5):
+            for w in range(n * (t - 1) + 2):
+                p = ParamSet(t, n, w)
+                universe = list(words_iter(t, n, w))
+                for engine in ENGINES:
+                    if engine != "grandmama" and p.w_eff >= t:
+                        continue
+                    seeds = [None]
+                    if engine != "reverse-colex":
+                        seeds += rng.sample(universe, min(4, len(universe)))
+                    for start in seeds:
+                        symbols = itertools.chain.from_iterable(engine_chunks(p, engine, start)[1])
+                        head = list(itertools.islice(itertools.cycle(symbols), n))
+                        assert head == ([0] * n if start is None else list(start)), (
+                            p, engine, start)
+                        runs += 1
+    assert runs == 594
 
 
 # --- fixed-weight expansion ----------------------------------------------

@@ -157,6 +157,34 @@ def test_walks_seek_past_the_symbols_they_skip():
     assert len(cells) == 191
 
 
+def test_walks_closed_early_count_the_symbols_they_yielded():
+    # a stream closed after any number of chunks has counted every symbol it
+    # yielded, the last chunk's included: each walk fresh and resumed at a node, the
+    # colex walk past skipped symbols, and the seeded streams that resume them
+    streams = []
+    for walk, extra, cells in [(grandmama._concat_walk, 0, [(4, 10, 15), (3, 4, 5)]),
+                               (msr._msr_tree_walk, 1, [(10, 11, 9), (4, 5, 3)])]:
+        for cell in cells:
+            p = ParamSet(*cell)
+            fresh = list(islice(walk(p, None), 200))
+            nodes = [fresh[k] * ((p.n + extra) // len(fresh[k])) for k in (2, len(fresh) // 2)]
+            streams += [(p, walk, {})] + [(p, walk, {"after": node}) for node in nodes]
+            if walk is grandmama._concat_walk:
+                streams += [(p, walk, {"skip": skip}) for skip in (1, p.n, 3 * p.n + 1)]
+            engine = "grandmama" if walk is grandmama._concat_walk else "msr"
+            seed = tuple(chain.from_iterable(fresh))[7:7 + p.n]
+            streams.append((p, lambda p, stats, engine=engine, seed=seed:
+                            engine_chunks(p, engine, seed, None, stats)[1], {}))
+    for p, walk, kwargs in streams:
+        for count in (1, 2, 3, 10, 57):
+            stats = GenStats()
+            chunks = walk(p, stats, **kwargs)
+            read = sum(map(len, islice(chunks, count)))
+            chunks.close()
+            assert stats.symbols == read > 0, (p, kwargs, count)
+    assert len(streams) == 22
+
+
 def _chunk_ends(chunks):
     """(the cycle, {position of each chunk's last symbol: that chunk})."""
     cycle, ends = [], {}
