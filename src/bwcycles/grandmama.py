@@ -39,7 +39,13 @@ __all__ = [
 
 
 class GenStats(_Record):
-    """Instrumentation counters shared by the generators in this package."""
+    """Instrumentation counters shared by the generators in this package.
+
+    ``comparisons`` counts the inner-loop iterations of ``necklace_tests``
+    alone. The necklace walks also compare a tie's follower with its node's
+    and, for a tie with no zero, its first symbol with the least of the others;
+    neither is a necklace test, and neither is counted.
+    """
 
     __slots__ = __match_args__ = ("symbols", "necklace_tests", "comparisons")
 
@@ -119,10 +125,11 @@ def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Ite
     under i // 2 the run after the 1 is the longer one, under L a run inside b
     is.
 
-    Each frame carries L and F, the start of the least follower a[F:] of the
-    runs of length L inside b (n when L is 0). No descendant changes these
-    symbols, as the walk below a node changes only positions up to its change
-    index. A probe child keeps them; a scan child first folds in the run
+    Each node carries L, F, the start of the least follower a[F:] of the runs
+    of length L inside b (n when L is 0), and that follower as a list. No
+    descendant changes these symbols, as the walk below a node changes only
+    positions up to its change index, so the list is sliced only when F
+    changes. A probe child keeps them; a scan child first folds in the run
     0^(i-1-j) after its 1, followed by a[i:], which takes L and F when it is
     longer than L, and F alone when it is as long with a smaller follower.
     With the child's own L and F:
@@ -130,16 +137,28 @@ def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Ite
     - a word that ends nonzero and whose leading zero run is longer than each
       of its other zero runs is below all its rotations: a Lyndon word, with
       period n. So a child with j > L is one;
-    - a tie, j = L, is decided by the child's own follower a[j:j+n-F]
+    - a tie, j = L > 0, is decided by the child's own follower a[j:j+n-F]
       against a[F:]: below it the child is below every rotation that starts
       at an equally long run, so a Lyndon word; above it the child is above
-      one of them, so no necklace. Only an equal follower (or L = 0, which
-      leaves F empty) costs a ``_period_count`` test, tallied in ``stats``.
+      one of them, so no necklace;
+    - a tie with L = 0 is a word with no zero, decided by its first symbol
+      against the least of the others: below it the word is below every
+      rotation, a Lyndon word; above it the rotation that starts at the least
+      symbol is below it, so no necklace.
 
-    So every candidate is tested at most once. The root's period is 1 and its
-    child's n, and neither costs a test. Besides the scratch word, memory is
-    one frame of five ints per node of weight below w on the current path, at
-    most w - 1 of them: O(n * t) no matter how long the output is.
+    Only an equal follower or symbol (and the one symbol of n = 1) costs a
+    ``_period_count`` test, tallied in ``stats``. So every candidate is tested
+    at most once. The root's period is 1 and its child's n, and neither costs
+    a test.
+
+    The node being expanded lives in the walk's locals. Entering a child pushes
+    its parent's state, a tuple that holds its next child's position, and
+    climbing out of the child pops it. Besides the scratch word, memory is one
+    tuple per ancestor of weight below w on the current path, at most w - 2 of
+    them, and the follower lists they share: a new one is sliced only when F
+    drops to the current change index, below every F above it, so a path holds
+    at most n distinct lists, O(n^2) ints at worst. So memory is O(n * t + n^2)
+    no matter how long the output is.
     """
     return _concat_walk(params, stats)
 
@@ -187,49 +206,53 @@ def _concat_walk(params, stats, after=None, skip=0):
             return
         # still descending to ``after``, or passing skipped chunks
         quiet = bool(path or skip)
-        # one frame per node of weight below w on the current path: [change
-        # index, next child's position, child weight, L, F]
-        fr = [n - 1, (n - 1) // 2, 2, 0, n]
-        stack = [fr]
+        # the node being expanded: change index i, next child's position j (the
+        # path's child while resuming, whose siblings before it are never
+        # decided), child weight wt, L, F and its follower g = a[F:]; the stack
+        # holds each ancestor's (i, j, wt, L, F, g), j its next child
+        i, j, wt, L, F, g = n - 1, path.pop() if path else (n - 1) // 2, 2, 0, n, []
+        stack = []
         while True:
-            i, j, wt, L, F = fr
-            if path:
-                # the path's child: its siblings before it are never decided
-                j = path.pop()
-            elif j > i:
+            if j > i:
                 # climb out of a node whose children are done
-                stack.pop()
                 if not stack:
                     return
                 a[i] -= 1
-                fr = stack[-1]
+                i, j, wt, L, F, g = stack.pop()
                 continue
-            fr[1] = j + 1
+            # the child's l, f and follower h
+            l, f, h = L, F, g
             if j < i:
-                # the scan child's L and F: it adds the run 0^(i-1-j) after its 1,
-                # followed by a[i:]
+                # a scan child adds the run 0^(i-1-j) after its 1, followed by a[i:]
                 r = i - 1 - j
                 if r > L:
-                    L, F = r, i
-                elif r == L and r and a[i:] < a[F:]:
-                    F = i
+                    l, f, h = r, i, a[i:]
+                elif r == L and r:
+                    b = a[i:]
+                    if b < g:
+                        f, h = i, b
             elif a[i] == tmax:
+                j += 1
                 continue
             a[j] += 1
             p = n
-            if j == L:
-                # a tie: the child's own follower against a[F:]
-                g = a[F:]
-                c = a[j:j + n - F]
-                if c == g:
-                    p, it = _period_count(a, n)
-                    tests += 1
-                    iters += it
-                elif c > g:
+            if j == l:
+                # a tie: the child's own follower against a[f:] or, with no zero,
+                # its first symbol against the least of the others
+                if l or n == 1:
+                    c, e = a[j:j + n - f], h
+                else:
+                    c, e = a[0], min(a[1:])
+                if c >= e:
                     p = 0
-                if not p:
-                    a[j] -= 1
-                    continue
+                    if c == e:
+                        p, it = _period_count(a, n)
+                        tests += 1
+                        iters += it
+                    if not p:
+                        a[j] -= 1
+                        j += 1
+                        continue
             if quiet:
                 if not path:
                     skip -= p
@@ -242,13 +265,19 @@ def _concat_walk(params, stats, after=None, skip=0):
                 symbols += p
                 yield a[:p]
             if wt < w:
-                lo = j // 2
-                if L > lo:
-                    lo = L
-                fr = [j, lo, wt + 1, L, F]
-                stack.append(fr)
+                # descend: the child is expanded next, from the path's child or
+                # from lo = max(j // 2, l)
+                stack.append((i, j + 1, wt, L, F, g))
+                i, wt, L, F, g = j, wt + 1, l, f, h
+                if path:
+                    j = path.pop()
+                else:
+                    j //= 2
+                    if l > j:
+                        j = l
             else:
                 a[j] -= 1
+                j += 1
     finally:
         if stats is not None:
             stats.add(symbols=symbols, tests=tests, comparisons=iters)
@@ -260,12 +289,14 @@ def _concat_walk_reversed(params, skip=0):
     The same walk, mirrored: it visits each node's children by decreasing
     position, the probe first and then the scan children from i-1 down to lo,
     and yields a node's chunk after its subtree. Each child's decision reads
-    only its parent's frame and its own position, so the order changes none of
-    them. A frame adds lo and the node's own period to the forward walk's five
-    ints; nothing is counted. ``skip`` passes the cycle's last ``skip`` symbols
-    as the forward walk passes its first: chunk lengths are added up while
-    ``quiet``, and the chunk that holds the symbol before them is yielded up to
-    that symbol.
+    only its parent's state and its own position, so the order changes none of
+    them. The node being expanded lives in locals, as in the forward walk,
+    with lo and its own period beside the forward walk's state, and each
+    ancestor's state is one tuple on the stack: at most w - 2 tuples and n
+    distinct follower lists, O(n * t + n^2) memory. Nothing is counted.
+    ``skip`` passes the cycle's last ``skip`` symbols as the forward walk
+    passes its first: chunk lengths are added up while ``quiet``, and the chunk
+    that holds the symbol before them is yielded up to that symbol.
     """
     t, n, w = params.t, params.n, params.w_eff
     tmax = t - 1
@@ -273,11 +304,12 @@ def _concat_walk_reversed(params, skip=0):
     quiet = skip > 0
     if w >= 2:
         a[n - 1] = 1
-        # [change index, next child's position, child weight, L, F, lo, period]
-        fr = [n - 1, n - 1, 2, 0, n, (n - 1) // 2, n]
-        stack = [fr]
+        # the node being expanded: the forward walk's i, j, wt, L, F and g, its
+        # last child's position lo and its period q; the stack holds each
+        # ancestor's (i, j, wt, L, F, g, lo, q), j its next child
+        i, j, wt, L, F, g, lo, q = n - 1, n - 1, 2, 0, n, [], (n - 1) // 2, n
+        stack = []
         while True:
-            i, j, wt, L, F, lo, q = fr
             if j < lo:
                 # the node's chunk follows its subtree
                 if quiet:
@@ -288,38 +320,40 @@ def _concat_walk_reversed(params, skip=0):
                 else:
                     yield a[:q]
                 a[i] -= 1
-                stack.pop()
                 if not stack:
                     break
-                fr = stack[-1]
+                i, j, wt, L, F, g, lo, q = stack.pop()
                 continue
-            fr[1] = j - 1
+            l, f, h = L, F, g
             if j < i:
                 r = i - 1 - j
                 if r > L:
-                    L, F = r, i
-                elif r == L and r and a[i:] < a[F:]:
-                    F = i
+                    l, f, h = r, i, a[i:]
+                elif r == L and r:
+                    b = a[i:]
+                    if b < g:
+                        f, h = i, b
             elif a[i] == tmax:
+                j -= 1
                 continue
             a[j] += 1
             p = n
-            if j == L:
-                g = a[F:]
-                c = a[j:j + n - F]
-                if c == g:
-                    p = _period_count(a, n)[0]
-                elif c > g:
-                    p = 0
-                if not p:
-                    a[j] -= 1
-                    continue
+            if j == l:
+                if l or n == 1:
+                    c, e = a[j:j + n - f], h
+                else:
+                    c, e = a[0], min(a[1:])
+                if c >= e:
+                    p = _period_count(a, n)[0] if c == e else 0
+                    if not p:
+                        a[j] -= 1
+                        j -= 1
+                        continue
             if wt < w:
-                lo = j // 2
-                if L > lo:
-                    lo = L
-                fr = [j, j, wt + 1, L, F, lo, p]
-                stack.append(fr)
+                stack.append((i, j - 1, wt, L, F, g, lo, q))
+                i, wt, L, F, g, lo, q = j, wt + 1, l, f, h, j // 2, p
+                if l > lo:
+                    lo = l
             else:
                 if quiet:
                     skip -= p
@@ -329,6 +363,7 @@ def _concat_walk_reversed(params, skip=0):
                 else:
                     yield a[:p]
                 a[j] -= 1
+                j -= 1
     # the root's child when it has no frame, then the root; once nothing is left to
     # pass, skip stays at or below minus each chunk's length, which keeps it whole
     for chunk in [[0] * (n - 1) + [1], [0]] if w == 1 else [[0]]:
@@ -341,7 +376,7 @@ def generate_concat(params: ParamSet, stats: GenStats | None = None) -> UCycle:
     """Build the whole universal cycle for one (t, n, w) cell.
 
     The materialized form of ``iter_concat_prefixes``, which streams the same
-    symbols in O(n * t) memory; use that for very long outputs.
+    symbols in O(n * t + n^2) memory; use that for very long outputs.
     """
     chunks = iter_concat_prefixes(params, stats)
     return UCycle(tuple(chain.from_iterable(chunks)), params, "grandmama-concat")

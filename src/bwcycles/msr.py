@@ -117,15 +117,17 @@ def _msr_tree_walk(params, stats, after=None):
     node's longest zero run after its first nonzero symbol and a[F:] the least
     follower of such a run of length L (F = N when L is 0). A child that would
     end in zero is refused. Otherwise its leading run j decides it against its
-    own L: j > L makes it a Lyndon word, j < L no necklace. A tie, j = L, is
-    decided by its follower a[L:L+N-F] against a[F:], which no descendant
-    changes (the walk below a node moves weight only at positions up to f+1):
-    below, the child is a Lyndon word; above, no necklace; only an equal one
-    (or L = 0) costs one ``_period_count`` (tallied in ``stats``). Each edge
-    moves a unit of weight one place left, so the path holds at most n*w
-    frames of ints: O(n * t). Given ``after``, a node of the tree, the walk takes
-    the path's child at each node down to it and yields nothing before it enters
-    ``after``: that chunk comes first, then the rest. At the root, it is the walk.
+    own L: j > L makes it a Lyndon word, j < L no necklace. A tie, j = L > 0,
+    is decided by its follower a[L:L+N-F] against a[F:], which no descendant
+    changes (the walk below a node moves weight only at positions up to f+1),
+    and a tie with L = 0, a word with no zero, by its first symbol against the
+    least of the others: below, the child is a Lyndon word; above, no
+    necklace; only an equal one costs one ``_period_count`` (tallied in
+    ``stats``). Each edge moves a unit of weight one place left, so the path
+    holds at most n*w frames of ints: O(n * t). Given ``after``, a node of the
+    tree, the walk takes the path's child at each node down to it and yields
+    nothing before it enters ``after``: that chunk comes first, then the rest.
+    At the root, it is the walk.
     """
     N, w = params.n + 1, params.w_eff
     tests = iters = symbols = 0
@@ -181,14 +183,17 @@ def _msr_tree_walk(params, stats, after=None):
             a[d] = s - 1
             p = N
             if j == L:
+                # a tie: its follower against a[F:] or, with no zero, its first
+                # symbol against the least of the others
                 if L:
-                    g = a[F:]
-                    c = a[j:j + len(g)]
-                if not L or c == g:
+                    c, e = a[j:j + N - F], a[F:]
+                else:
+                    c, e = a[0], min(a[1:])
+                if c == e:
                     p, it = _period_count(a, N)
                     tests += 1
                     iters += it
-                elif c > g:
+                elif c > e:
                     p = 0
                 if not p:
                     a[j] -= 1
