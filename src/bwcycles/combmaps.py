@@ -61,6 +61,10 @@ SCHEME_SUBSET_DIFF = "subset_difference"
 SCHEME_MULTISET_FREQ = "multiset_shorthand_frequency"
 SCHEME_MULTISET_DIFF = "multiset_difference"
 
+# the most symbols one ``window_at`` read may pass before its window: about 50 s
+# at the colex walk's seek rate of about 20M symbols/s on a 2-CPU host
+DECODE_MAX_SYMBOLS = 10**9
+
 
 class CombObject(_Frozen):
     """A k-subset or k-multiset of the ground set {1..n}.
@@ -194,9 +198,12 @@ def window_at(params: ParamSet, engine: str, position: int, start: Sequence[int]
     there, in its second half the reversed walk passes the L - position - n
     symbols after the window the same way, so only the window's chunks are
     yielded. Any other stream is read up to the window's end. Either way O(n)
-    symbols are held. Every stream starts with its seed window, or with 0^n
-    unseeded (the colex walk's 0 then 0^(n-1)1, the msr walk's 0^n w, a
-    one-word cycle's 0), so a window that wraps ends in those symbols.
+    symbols are held. A read that would pass more than ``DECODE_MAX_SYMBOLS``
+    symbols on its way to the window is refused before it starts, after the
+    engine's and the position's refusals. Every stream starts with its seed
+    window, or with 0^n unseeded (the colex walk's 0 then 0^(n-1)1, the msr
+    walk's 0^n w, a one-word cycle's 0), so a window that wraps ends in those
+    symbols.
     """
     chunks = engine_chunks(params, engine, start)[1]
     n, length = params.n, params.universe_size
@@ -204,14 +211,20 @@ def window_at(params: ParamSet, engine: str, position: int, start: Sequence[int]
         raise ValueError(f"position {position} outside 0..{length - 1}")
     # the symbols from position up to n later, or to the cycle's end
     end = min(position + n, length)
-    if engine != "grandmama" or start is not None:
-        window = list(islice(chain.from_iterable(chunks), position, end))
-    elif 2 * position < length:
+    seek = engine == "grandmama" and start is None
+    back = seek and 2 * position >= length
+    passed = length - end if back else position
+    if passed > DECODE_MAX_SYMBOLS:
+        raise ValueError(f"decode would pass {passed} symbols to its window, "
+                         f"above the cap {DECODE_MAX_SYMBOLS}")
+    if back:
+        behind = _concat_walk_reversed(params, skip=length - end)
+        window = list(islice(chain.from_iterable(map(reversed, behind)), end - position))[::-1]
+    elif seek:
         window = list(islice(chain.from_iterable(_concat_walk(params, None, skip=position)),
                              end - position))
     else:
-        behind = _concat_walk_reversed(params, skip=length - end)
-        window = list(islice(chain.from_iterable(map(reversed, behind)), end - position))[::-1]
+        window = list(islice(chain.from_iterable(chunks), position, end))
     return window + list(islice(cycle(start or (0,)), n - len(window)))
 
 

@@ -113,17 +113,18 @@ def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Ite
     one shared scratch word and an explicit stack.
 
     Every node except the root is 0^i b, where b = a_i..a_(n-1) starts with
-    a_i >= 1 and i, its change index, is the position its parent bumped; the
-    root is the all-zero word, whose only child is 0^(n-1)1 (its other
-    candidates end in zero). A node's candidate children are the scan children
-    0^j 1 0^(i-1-j) b for j < i and, when a_i < t-1, the probe
-    0^i (a_i+1) a_(i+1).. for j = i. The walk decides each one when it visits
-    it, most without a test. A node is a necklace, so b ends nonzero (a
-    trailing zero would rotate to the front), and L, the longest zero run
-    inside b (0 for none), is at most i. A word with a zero run longer than
-    its leading one is no necklace, so the visits start at lo = max(i // 2, L):
-    under i // 2 the run after the 1 is the longer one, under L a run inside b
-    is.
+    a_i >= 1 and i, its change index, is the position its parent bumped. The
+    root is the all-zero word. The walk expands it first, as a node with change
+    index n-1 whose visits start at n-1: its other candidates would end in
+    zero, so its only one is 0^(n-1)1, and it has none when w = 0. A node's
+    candidate children are the scan children 0^j 1 0^(i-1-j) b for j < i and,
+    when a_i < t-1, the probe 0^i (a_i+1) a_(i+1).. for j = i. The walk
+    decides each one when it visits it, most without a test. A node is a
+    necklace, so b ends nonzero (a trailing zero would rotate to the front),
+    and L, the longest zero run inside b (0 for none), is at most i. A word
+    with a zero run longer than its leading one is no necklace, so the visits
+    start at lo = max(i // 2, L): under i // 2 the run after the 1 is the
+    longer one, under L a run inside b is.
 
     Each node carries L, F, the start of the least follower a[F:] of the runs
     of length L inside b (n when L is 0), and that follower as a list. No
@@ -148,17 +149,18 @@ def iter_concat_prefixes(params: ParamSet, stats: GenStats | None = None) -> Ite
 
     Only an equal follower or symbol (and the one symbol of n = 1) costs a
     ``_period_count`` test, tallied in ``stats``. So every candidate is tested
-    at most once. The root's period is 1 and its child's n, and neither costs
-    a test.
+    at most once. The root's chunk [0] comes before the loop, and the loop
+    decides the root's child like any other: with j = n-1 above L = 0 it is a
+    Lyndon word, at no test unless n = 1, where it is a tie.
 
     The node being expanded lives in the walk's locals. Entering a child pushes
     its parent's state, a tuple that holds its next child's position, and
     climbing out of the child pops it. Besides the scratch word, memory is one
-    tuple per ancestor of weight below w on the current path, at most w - 2 of
-    them, and the follower lists they share: a new one is sliced only when F
-    drops to the current change index, below every F above it, so a path holds
-    at most n distinct lists, O(n^2) ints at worst. So memory is O(n * t + n^2)
-    no matter how long the output is.
+    tuple per ancestor of weight below w on the current path, the root's
+    included, at most w - 1 of them, and the follower lists they share: a new
+    one is sliced only when F drops to the current change index, below every F
+    above it, so a path holds at most n distinct lists, O(n^2) ints at worst.
+    So memory is O(n * t + n^2) no matter how long the output is.
     """
     return _concat_walk(params, stats)
 
@@ -189,28 +191,14 @@ def _concat_walk(params, stats, after=None, skip=0):
             else:
                 symbols = 1
                 yield [0]
-        if w == 0:
-            return
-        # the root's only child 0^(n-1)1 (w >= 1, so t >= 2), a Lyndon word
-        a[n - 1] = 1
-        if path:
-            path.pop()
-        if not path:
-            if skip < n:
-                symbols += n - skip
-                yield a[skip:]
-                skip = 0
-            else:
-                skip -= n
-        if w == 1:
-            return
         # still descending to ``after``, or passing skipped chunks
         quiet = bool(path or skip)
         # the node being expanded: change index i, next child's position j (the
         # path's child while resuming, whose siblings before it are never
         # decided), child weight wt, L, F and its follower g = a[F:]; the stack
-        # holds each ancestor's (i, j, wt, L, F, g), j its next child
-        i, j, wt, L, F, g = n - 1, path.pop() if path else (n - 1) // 2, 2, 0, n, []
+        # holds each ancestor's (i, j, wt, L, F, g), j its next child. The root
+        # comes first, its only candidate the probe at n-1, none when w = 0
+        i, j, wt, L, F, g = n - 1, path.pop() if path else n - 1 if w else n, 1, 0, n, []
         stack = []
         while True:
             if j > i:
@@ -290,86 +278,81 @@ def _concat_walk_reversed(params, skip=0):
     position, the probe first and then the scan children from i-1 down to lo,
     and yields a node's chunk after its subtree. Each child's decision reads
     only its parent's state and its own position, so the order changes none of
-    them. The node being expanded lives in locals, as in the forward walk,
-    with lo and its own period beside the forward walk's state, and each
-    ancestor's state is one tuple on the stack: at most w - 2 tuples and n
-    distinct follower lists, O(n * t + n^2) memory. Nothing is counted.
-    ``skip`` passes the cycle's last ``skip`` symbols as the forward walk
-    passes its first: chunk lengths are added up while ``quiet``, and the chunk
-    that holds the symbol before them is yielded up to that symbol.
+    them. The root is expanded first, as there, and its chunk [0] comes last,
+    as every node's does. The node being expanded lives in locals, as in the
+    forward walk, with lo and its own period beside the forward walk's state,
+    and each ancestor's state is one tuple on the stack: at most w - 1 tuples,
+    the root's included, and n distinct follower lists, O(n * t + n^2) memory.
+    Nothing is counted. ``skip`` passes the cycle's last ``skip`` symbols as
+    the forward walk passes its first: chunk lengths are added up while
+    ``quiet``, and the chunk that holds the symbol before them is yielded up to
+    that symbol.
     """
     t, n, w = params.t, params.n, params.w_eff
     tmax = t - 1
     a = [0] * n
     quiet = skip > 0
-    if w >= 2:
-        a[n - 1] = 1
-        # the node being expanded: the forward walk's i, j, wt, L, F and g, its
-        # last child's position lo and its period q; the stack holds each
-        # ancestor's (i, j, wt, L, F, g, lo, q), j its next child
-        i, j, wt, L, F, g, lo, q = n - 1, n - 1, 2, 0, n, [], (n - 1) // 2, n
-        stack = []
-        while True:
-            if j < lo:
-                # the node's chunk follows its subtree
-                if quiet:
-                    skip -= q
-                    if skip < 0:
-                        quiet = False
-                        yield a[:-skip]
-                else:
-                    yield a[:q]
-                a[i] -= 1
-                if not stack:
-                    break
-                i, j, wt, L, F, g, lo, q = stack.pop()
-                continue
-            l, f, h = L, F, g
-            if j < i:
-                r = i - 1 - j
-                if r > L:
-                    l, f, h = r, i, a[i:]
-                elif r == L and r:
-                    b = a[i:]
-                    if b < g:
-                        f, h = i, b
-            elif a[i] == tmax:
-                j -= 1
-                continue
-            a[j] += 1
-            p = n
-            if j == l:
-                if l or n == 1:
-                    c, e = a[j:j + n - f], h
-                else:
-                    c, e = a[0], min(a[1:])
-                if c >= e:
-                    p = _period_count(a, n)[0] if c == e else 0
-                    if not p:
-                        a[j] -= 1
-                        j -= 1
-                        continue
-            if wt < w:
-                stack.append((i, j - 1, wt, L, F, g, lo, q))
-                i, wt, L, F, g, lo, q = j, wt + 1, l, f, h, j // 2, p
-                if l > lo:
-                    lo = l
+    # the node being expanded: the forward walk's i, j, wt, L, F and g, its
+    # last child's position lo and its period q; the stack holds each
+    # ancestor's (i, j, wt, L, F, g, lo, q), j its next child. The root comes
+    # first, its only candidate the probe at n-1, none when w = 0
+    i, j, wt, L, F, g, lo, q = n - 1, n - 1, 1, 0, n, [], n - 1 if w else n, 1
+    stack = []
+    while True:
+        if j < lo:
+            # the node's chunk follows its subtree
+            if quiet:
+                skip -= q
+                if skip < 0:
+                    quiet = False
+                    yield a[:-skip]
             else:
-                if quiet:
-                    skip -= p
-                    if skip < 0:
-                        quiet = False
-                        yield a[:-skip]
-                else:
-                    yield a[:p]
-                a[j] -= 1
-                j -= 1
-    # the root's child when it has no frame, then the root; once nothing is left to
-    # pass, skip stays at or below minus each chunk's length, which keeps it whole
-    for chunk in [[0] * (n - 1) + [1], [0]] if w == 1 else [[0]]:
-        skip -= len(chunk)
-        if skip < 0:
-            yield chunk[:-skip]
+                yield a[:q]
+            if not stack:
+                return
+            a[i] -= 1
+            i, j, wt, L, F, g, lo, q = stack.pop()
+            continue
+        l, f, h = L, F, g
+        if j < i:
+            r = i - 1 - j
+            if r > L:
+                l, f, h = r, i, a[i:]
+            elif r == L and r:
+                b = a[i:]
+                if b < g:
+                    f, h = i, b
+        elif a[i] == tmax:
+            j -= 1
+            continue
+        a[j] += 1
+        p = n
+        if j == l:
+            if l or n == 1:
+                c, e = a[j:j + n - f], h
+            else:
+                c, e = a[0], min(a[1:])
+            if c >= e:
+                p = _period_count(a, n)[0] if c == e else 0
+                if not p:
+                    a[j] -= 1
+                    j -= 1
+                    continue
+        if wt < w:
+            stack.append((i, j - 1, wt, L, F, g, lo, q))
+            i, wt, L, F, g, lo, q = j, wt + 1, l, f, h, j // 2, p
+            if l > lo:
+                lo = l
+        else:
+            if quiet:
+                skip -= p
+                if skip < 0:
+                    quiet = False
+                    yield a[:-skip]
+            else:
+                yield a[:p]
+            a[j] -= 1
+            j -= 1
 
 
 def generate_concat(params: ParamSet, stats: GenStats | None = None) -> UCycle:

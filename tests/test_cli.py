@@ -236,6 +236,16 @@ def test_decode(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_decode_refuses_a_read_past_its_cap(capsys):
+    # a position 10^12 symbols into a cycle of about 6.1 * 10^17 is refused before any
+    # walk starts, with one error line and nothing on stdout
+    code, out, err = run(capsys, "decode", "--t", "4", "--n", "30", "--w", "45",
+                         "--position", "1000000000000")
+    assert (code, out) == (2, "")
+    assert err == ("error: decode would pass 1000000000000 symbols to its window, "
+                   f"above the cap {combmaps.DECODE_MAX_SYMBOLS}\n")
+
+
 def test_verify_ok_paths(capsys):
     code, out, _ = run(capsys, "verify", "--t", "5", "--n", "3", "--w", "4")
     assert code == 0 and json.loads(out)["ok"] is True
@@ -530,6 +540,18 @@ def test_generate_stats_on_stderr(capsys):
         assert code == 0 and out.strip() == str(cycle), flags
         assert err == (f"stats: symbols={len(cycle)} necklace_tests={stats.necklace_tests}"
                        f" comparisons={stats.comparisons}\n"), flags
+
+
+def test_generate_stats_on_a_one_symbol_cell(capsys):
+    # with n = 1 each symbol after the root's is a tie that costs one test, as the
+    # library counts
+    stats = GenStats()
+    assert str(generate_concat(ParamSet(5, 1, 4), stats)) == "01234"
+    assert (stats.symbols, stats.necklace_tests, stats.comparisons) == (5, 4, 0)
+    code, out, err = run(capsys, "generate", "--t", "5", "--n", "1", "--w", "4",
+                         "--format", "compact", "--stats")
+    assert (code, out) == (0, "01234\n")
+    assert err == "stats: symbols=5 necklace_tests=4 comparisons=0\n"
 
 
 def test_generate_stats_across_successor_chunks(capsys):

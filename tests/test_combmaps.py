@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from bwcycles import combmaps
 from bwcycles.combmaps import (
     ENCODINGS,
     ENGINES,
@@ -453,6 +454,28 @@ def test_window_at_refusals_come_in_the_engines_order():
         with pytest.raises(ValueError, match=r"^window length 2 != n = 3$"):
             window_at(p, "grandmama", position, (0, 0))
 
+
+
+def test_window_at_passes_at_most_its_cap(monkeypatch):
+    # a read may pass DECODE_MAX_SYMBOLS symbols on its way to its window and not one
+    # more: ``position`` of them forward (unseeded grandmama in the cycle's first
+    # half, msr, reverse-colex and seeded reads), the L - position - n after the
+    # window from the cycle's end
+    p = ParamSet(4, 5, 3)
+    cap, length = 10, p.universe_size
+    monkeypatch.setattr(combmaps, "DECODE_MAX_SYMBOLS", cap)
+    runs = 0
+    for engine, start, cycle in _engine_runs(p):
+        reads = [(cap, cap + 1)]
+        if engine == "grandmama" and start is None:
+            reads.append((length - p.n - cap, length - p.n - cap - 1))
+        for fits, refused in reads:
+            assert tuple(window_at(p, engine, fits, start)) == cycle.window(fits), (engine, start)
+            with pytest.raises(ValueError, match=rf"^decode would pass {cap + 1} symbols to its "
+                                                 rf"window, above the cap {cap}$"):
+                window_at(p, engine, refused, start)
+            runs += 1
+    assert runs == 6 and 2 * (length - p.n - cap - 1) >= length > 2 * (cap + 1)
 
 
 def test_every_stream_starts_with_its_seed_window_or_zeros():

@@ -446,6 +446,17 @@ def test_concat_stats_pinned():
         assert (stats.necklace_tests, stats.comparisons, stats.symbols) == expected, (t, n, w)
 
 
+def test_one_symbol_walks_test_every_symbol_after_the_first():
+    # with n = 1 every child, the root's own included, is a tie with no follower,
+    # decided by one _period_count on a one-symbol word, which compares nothing
+    for t in range(1, 9):
+        for w in range(t + 1):
+            stats = GenStats()
+            chunks = list(iter_concat_prefixes(ParamSet(t, 1, w), stats))
+            assert chunks == [[s] for s in range(min(t - 1, w) + 1)], (t, w)
+            assert (stats.necklace_tests, stats.comparisons) == (stats.symbols - 1, 0), (t, w)
+
+
 def test_reverse_walk_stats_pinned():
     # (necklace_tests, comparisons, symbols) of the MSR tree walk unseeded msr runs
     stats = GenStats()
@@ -824,7 +835,7 @@ def test_resumed_walks_stream_the_fresh_walks_rest():
             assert _suspended(resumed, names) == state, (p, node)
             if p.universe_size <= 3000:
                 assert list(resumed) == fresh[k + 1:], (p, node)
-    assert max(depths[:555]) == 23 and depths[555:] == [298, 499, 115, 13, 45]
+    assert max(depths[:555]) == 24 and depths[555:] == [298, 499, 115, 14, 46]
 
 
 def test_ucycle_windows_wrap():
